@@ -1,20 +1,25 @@
 """Integral homology of finitely generated abelian groups.
 
-Homology is assembled structurally: closed formulas for the cyclic
-building blocks, then the Kunneth formula
+Homology is assembled structurally: the closed form H_k(Z^m) = Z^C(m,k)
+for the free part, closed formulas for the cyclic invariant factors, then
+the Kunneth formula
 
     H_n(G x H) = sum_{i+j=n} H_i(G) (x) H_j(H)  +  sum_{i+j=n-1} Tor(H_i(G), H_j(H))
 
-iterated over the cyclic factors.  Real cohomology only sees the free
-rank, which gives binomial coefficients and the cohomological dimension.
+iterated over the invariant factors.  The fold works on counted groups,
+a free rank plus an {order: multiplicity} map, so no summand is spelled
+out until each degree's group is normalised once at the end.  Real
+cohomology only sees the free rank, which gives binomial coefficients.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
 
-from .zlinalg import FgAbelian, rank
+from .zlinalg import FgAbelian
 
 DEFAULT_DEGREE_CAP = 8
 
@@ -68,8 +73,46 @@ def graded_cyclic(n: int, max_degree: int) -> GradedAbelian:
     return GradedAbelian(tuple(homology_cyclic(n, k) for k in range(max_degree + 1)))
 
 
-def _cyclic_factors(g: FgAbelian) -> tuple[int, ...]:
-    return g.cyclic_orders()
+# A counted group: (free rank, {order: multiplicity}) with every order >= 2.
+Counted = tuple[int, dict[int, int]]
+
+
+def _counted(g: FgAbelian) -> Counted:
+    return g.free_rank, dict(Counter(g.torsion))
+
+
+def _add_tor(acc: dict[int, int], a: Counted, b: Counted) -> None:
+    """Add Tor(a, b), which is also the torsion-by-torsion part of a (x) b,
+    to the counts in acc: Z/m with Z/n gives Z/gcd(m,n)."""
+    for x, m in a[1].items():
+        for y, n in b[1].items():
+            g = math.gcd(x, y)
+            if g > 1:
+                acc[g] = acc.get(g, 0) + m * n
+
+
+def _add_tensor(acc: dict[int, int], a: Counted, b: Counted) -> int:
+    """Add the torsion of a (x) b to acc and return its free rank:
+    Z (x) Z = Z and Z (x) Z/n = Z/n, plus the torsion-by-torsion part."""
+    (free_a, tors_a), (free_b, tors_b) = a, b
+    if free_b:
+        for x, m in tors_a.items():
+            acc[x] = acc.get(x, 0) + free_b * m
+    if free_a:
+        for y, n in tors_b.items():
+            acc[y] = acc.get(y, 0) + free_a * n
+    _add_tor(acc, a, b)
+    return free_a * free_b
+
+
+def _kunneth_counts(ha: Sequence[Counted], hb: Sequence[Counted], n: int) -> Counted:
+    acc: dict[int, int] = {}
+    free = 0
+    for i in range(n + 1):
+        free += _add_tensor(acc, ha[i], hb[n - i])
+    for i in range(n):
+        _add_tor(acc, ha[i], hb[n - 1 - i])
+    return free, acc
 
 
 def tensor(a: FgAbelian, b: FgAbelian) -> FgAbelian:
@@ -80,24 +123,16 @@ def tensor(a: FgAbelian, b: FgAbelian) -> FgAbelian:
     >>> print(tensor(FgAbelian(0, (4,)), FgAbelian(0, (6,))).render())
     Z/2
     """
-    orders = []
-    for x in _cyclic_factors(a):
-        for y in _cyclic_factors(b):
-            if x == 0:
-                orders.append(y)
-            elif y == 0:
-                orders.append(x)
-            else:
-                orders.append(math.gcd(x, y))
-    return FgAbelian.from_cyclic_orders(orders)
+    acc: dict[int, int] = {}
+    free = _add_tensor(acc, _counted(a), _counted(b))
+    return FgAbelian.from_counts(free, acc)
 
 
 def tor(a: FgAbelian, b: FgAbelian) -> FgAbelian:
     """Tor(Z, anything) = 0 and Tor(Z/m, Z/n) = Z/gcd(m,n), extended additively."""
-    orders = [
-        math.gcd(x, y) for x in a.torsion for y in b.torsion
-    ]
-    return FgAbelian.from_cyclic_orders(orders)
+    acc: dict[int, int] = {}
+    _add_tor(acc, _counted(a), _counted(b))
+    return FgAbelian.from_counts(0, acc)
 
 
 def kunneth(ha: GradedAbelian, hb: GradedAbelian, n: int) -> FgAbelian:
@@ -106,21 +141,20 @@ def kunneth(ha: GradedAbelian, hb: GradedAbelian, n: int) -> FgAbelian:
         raise InsufficientDegrees(
             f"need degrees through {n}, have {ha.top_degree} and {hb.top_degree}"
         )
-    out = FgAbelian(0)
-    for i in range(n + 1):
-        out = out.direct_sum(tensor(ha.groups[i], hb.groups[n - i]))
-    for i in range(n):
-        out = out.direct_sum(tor(ha.groups[i], hb.groups[n - 1 - i]))
-    return out
+    counted_a = [_counted(g) for g in ha.groups[: n + 1]]
+    counted_b = [_counted(g) for g in hb.groups[: n + 1]]
+    return FgAbelian.from_counts(*_kunneth_counts(counted_a, counted_b, n))
 
 
 def group_homology_graded(g: FgAbelian, max_degree: int = DEFAULT_DEGREE_CAP) -> GradedAbelian:
-    """H_0..H_max of g, folding Kunneth over its cyclic factors."""
-    acc = graded_cyclic(1, max_degree)
-    for n in _cyclic_factors(g):
-        block = graded_cyclic(n, max_degree)
-        acc = GradedAbelian(tuple(kunneth(acc, block, k) for k in range(max_degree + 1)))
-    return acc
+    """H_0..H_max of g: Z^C(m,k) for the free part, then Kunneth folded
+    over the invariant factors on counted groups."""
+    degrees = range(max_degree + 1)
+    acc = [(math.comb(g.free_rank, k), {}) for k in degrees]
+    for d in g.torsion:
+        block = [_counted(h) for h in graded_cyclic(d, max_degree).groups]
+        acc = [_kunneth_counts(acc, block, k) for k in degrees]
+    return GradedAbelian(tuple(FgAbelian.from_counts(*h) for h in acc))
 
 
 def group_homology(g: FgAbelian, k: int) -> FgAbelian:
@@ -150,12 +184,4 @@ def real_cohomology_rank(g: FgAbelian, k: int) -> int:
     exterior algebra, so the answer is binomial(rank, k)."""
     if k < 0:
         raise ValueError(f"degree {k}")
-    return math.comb(rank(g), k)
-
-
-def real_cohomological_dimension(g: FgAbelian) -> int:
-    """Largest k with H^k(g; R) nonzero; equals the free rank."""
-    for k in range(rank(g), -1, -1):
-        if real_cohomology_rank(g, k) > 0:
-            return k
-    return 0
+    return math.comb(g.free_rank, k)

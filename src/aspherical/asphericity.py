@@ -16,8 +16,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .abhomology import group_homology, real_cohomological_dimension
-from .zlinalg import FgAbelian, exists_epimorphism, rank
+from .abhomology import group_homology
+from .zlinalg import FgAbelian, exists_epimorphism
 
 
 class Reason(enum.Enum):
@@ -58,7 +58,7 @@ def realizable_dimensions(gamma: FgAbelian) -> frozenset[int]:
     """{2} for Z^2; all even 2n with 4 <= 2n <= rank for rank >= 4; else empty."""
     if gamma == FgAbelian(2):
         return frozenset({2})
-    m = rank(gamma)
+    m = gamma.free_rank
     if m >= 4:
         return frozenset(range(4, m + 1, 2))
     return frozenset()
@@ -73,7 +73,7 @@ def hopf_obstruction_dim4(gamma: FgAbelian) -> bool:
     the obstruction fires when no such epimorphism exists.
     """
     h3 = group_homology(gamma, 3)
-    return not exists_epimorphism(FgAbelian(rank(gamma)), h3)
+    return not exists_epimorphism(FgAbelian(gamma.free_rank), h3)
 
 
 def covering_note(gamma: FgAbelian) -> str | None:
@@ -84,9 +84,10 @@ def covering_note(gamma: FgAbelian) -> str | None:
 
 
 def classify(gamma: FgAbelian) -> AsphericityVerdict:
-    """Apply the classification, evaluating the rank-3 cohomological
-    obstruction rather than matching on the rank alone."""
-    rcd = real_cohomological_dimension(gamma)
+    """Apply the classification.  The real cohomological dimension of an
+    abelian group is its free rank (real cohomology is the exterior
+    algebra on the free part), so the rank-3 obstruction reads it off."""
+    rcd = gamma.free_rank
     if gamma == FgAbelian(2):
         reason = Reason.IS_Z2
     elif rcd >= 4:

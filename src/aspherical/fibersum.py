@@ -32,7 +32,6 @@ from .zlinalg import (
     in_row_lattice,
     is_surjective_onto,
     kernel_basis,
-    rank,
 )
 
 
@@ -199,7 +198,7 @@ def presentation_chain_for(gamma: FgAbelian) -> tuple[GroupHom, int]:
     last two free generators.  Returns the composite pi_g -> gamma's
     presentation together with g; its abelianized matrix is surjective.
     """
-    m = rank(gamma)
+    m = gamma.free_rank
     if m < 2:
         raise RankTooSmall(f"need free rank at least 2, got {m}")
     target = abelian_presentation(gamma)
@@ -231,7 +230,7 @@ def witness_presentation(gamma: FgAbelian) -> Presentation:
     whose quotient is exactly A, and the trivial-bundle fiber sum with
     base genus 1 adjoins the Z^2 factor.  Everything else is rejected.
     """
-    m = rank(gamma)
+    m = gamma.free_rank
     if gamma == FgAbelian(2):
         p = surface_group(1)
         return Presentation(p.generators, p.relators, label=f"witness {gamma.render()}")

@@ -9,8 +9,10 @@ are immutable and dense; all arithmetic is exact Python int arithmetic
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .word import exponent_sum
 
@@ -278,6 +280,105 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
+def _coprime_base(numbers: Iterable[int]) -> list[int]:
+    """Pairwise coprime integers > 1 of which every given positive number
+    is a product of powers.
+
+    Factor refinement (Bach, Driscoll, Shallit, J. Algorithms 15, 1993):
+    a pending number x with g = gcd(x, b) > 1 for a base member b goes on
+    as x/g, and unless g = b, b is replaced by b/g and g.  Each step
+    divides the product of everything held by g, so the number of steps
+    is bounded by its bit length; no number is ever factored.
+
+    >>> _coprime_base([12, 18])
+    [2, 3]
+    >>> _coprime_base([6, 35, 10])
+    [2, 3, 5, 7]
+    """
+    base: list[int] = []
+    # Smallest first, so that in a divisor chain each member meets the
+    # members it is a multiple of.
+    pending = sorted((n for n in numbers if n > 1), reverse=True)
+    while pending:
+        x = pending.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(x, b)
+            if g == 1:
+                continue
+            if g != b:
+                base[i] = base[-1]
+                base.pop()
+                pending += (b // g, g)
+            if x != g:
+                pending.append(x // g)
+            break
+        else:
+            base.append(x)
+    return sorted(base)
+
+
+def _base_exponents(b: int, counts: Mapping[int, int]) -> dict[int, int]:
+    """Exponent of the base element b in each counted order, as
+    exponent -> multiplicity (orders that b does not divide left out)."""
+    out: dict[int, int] = {}
+    for d, m in counts.items():
+        e = 0
+        while d % b == 0:
+            d //= b
+            e += 1
+        if e:
+            out[e] = out.get(e, 0) + m
+    return out
+
+
+def _shared_base_exponents(a: "FgAbelian", b: "FgAbelian"):
+    """For each element q of a coprime base of both groups' invariant
+    factors, the exponents of q in a's factors and in b's.
+
+    A prime p dividing q divides every factor to v_p(q) times q's
+    exponent, so a per-prime criterion on exponents can be applied to
+    each q in place of each prime without factoring anything.
+    """
+    mine, theirs = Counter(a.torsion), Counter(b.torsion)
+    for q in _coprime_base(mine.keys() | theirs.keys()):
+        yield _base_exponents(q, mine), _base_exponents(q, theirs)
+
+
+def _chain_from_counts(counts: Mapping[int, int]) -> tuple[int, ...]:
+    """Invariant factors of the sum of counts[d] copies of Z/d.
+
+    Over a coprime base of the distinct orders, every prime dividing a
+    base element b divides each order to b's exponent times a fixed
+    multiple, so b plays the part of a prime: the largest factor takes
+    each b to its largest exponent, the next to its second largest, and
+    so on.  Runs of equal factors are laid out as one block.
+    """
+    columns = []
+    cuts = set()
+    for b in _coprime_base(counts):
+        exps = _base_exponents(b, counts)
+        bounds = []  # (end of the run, counted from the top; exponent)
+        end = 0
+        for e in sorted(exps, reverse=True):
+            end += exps[e]
+            bounds.append((end, e))
+        cuts.update(stop for stop, _ in bounds)
+        columns.append((b, bounds))
+    chain: list[int] = []
+    top = 0
+    for stop in sorted(cuts):
+        d = 1
+        for b, bounds in columns:
+            for end, e in bounds:
+                if top < end:
+                    d *= b**e
+                    break
+        chain += [d] * (stop - top)
+        top = stop
+    chain.reverse()
+    return tuple(chain)
+
+
 @dataclass(frozen=True)
 class FgAbelian:
     """Z^free_rank plus torsion in invariant-factor (divisor chain) form.
@@ -298,6 +399,17 @@ class FgAbelian:
                 raise ValueError(f"broken divisor chain {self.torsion}")
 
     @classmethod
+    def from_counts(cls, free_rank: int, counts: Mapping[int, int]) -> "FgAbelian":
+        """Normalize Z^free_rank plus counts[d] copies of Z/d (each d >= 1).
+
+        >>> print(FgAbelian.from_counts(3, {2: 2, 3: 1}).render())
+        Z^3 + Z/2 + Z/6
+        """
+        if any(d < 1 or m < 0 for d, m in counts.items()):
+            raise ValueError(f"orders must be positive and counts non-negative: {dict(counts)}")
+        return cls(free_rank, _chain_from_counts(counts))
+
+    @classmethod
     def from_cyclic_orders(cls, orders: Iterable[int]) -> "FgAbelian":
         """Normalize a list of cyclic orders (0 meaning Z, 1 dropped).
 
@@ -306,38 +418,37 @@ class FgAbelian:
         >>> print(FgAbelian.from_cyclic_orders([0, 4, 6]).render())
         Z + Z/2 + Z/12
         """
-        rank = 0
-        primary: dict[int, list[int]] = {}
+        free_rank = 0
+        counts: dict[int, int] = {}
         for n in orders:
             n = abs(int(n))
             if n == 0:
-                rank += 1
+                free_rank += 1
             elif n > 1:
-                for p, e in _factorize(n).items():
-                    primary.setdefault(p, []).append(e)
-        return cls(rank, _chain_from_primary(primary))
+                counts[n] = counts.get(n, 0) + 1
+        return cls.from_counts(free_rank, counts)
 
     @property
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 
-    def cyclic_orders(self) -> tuple[int, ...]:
-        return (0,) * self.free_rank + self.torsion
-
     def direct_sum(self, other: "FgAbelian") -> "FgAbelian":
-        return FgAbelian.from_cyclic_orders(self.cyclic_orders() + other.cyclic_orders())
+        counts = Counter(self.torsion)
+        counts.update(other.torsion)
+        return FgAbelian.from_counts(self.free_rank + other.free_rank, counts)
 
     def contains_summand(self, other: "FgAbelian") -> bool:
-        """True when self is isomorphic to other plus a complement."""
+        """True when self is isomorphic to other plus a complement.
+
+        Criterion: other's free rank is at most self's and, at every prime
+        (here: every element of a shared coprime base), other's exponents
+        form a sub-multiset of self's.
+        """
         if other.free_rank > self.free_rank:
             return False
-        mine = primary_decomposition(self)
-        for p, exps in primary_decomposition(other).items():
-            pool = list(mine.get(p, ()))
-            for e in exps:
-                if e not in pool:
-                    return False
-                pool.remove(e)
+        for have, need in _shared_base_exponents(self, other):
+            if any(have.get(e, 0) < m for e, m in need.items()):
+                return False
         return True
 
     def render(self) -> str:
@@ -348,22 +459,6 @@ class FgAbelian:
             parts.append(f"Z^{self.free_rank}")
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " + ".join(parts) if parts else "0"
-
-
-def _chain_from_primary(primary: dict[int, list[int]]) -> tuple[int, ...]:
-    work = {p: sorted(es, reverse=True) for p, es in primary.items() if es}
-    chain: list[int] = []
-    while work:
-        d = 1
-        for p in sorted(work):
-            d *= p ** work[p][0]
-        for p in list(work):
-            work[p] = work[p][1:]
-            if not work[p]:
-                del work[p]
-        chain.append(d)
-    chain.reverse()
-    return tuple(chain)
 
 
 def cokernel(a: IntMatrix) -> FgAbelian:
@@ -387,12 +482,12 @@ def relator_matrix(p: "Presentation") -> IntMatrix:
     )
 
 
-def rank(g: FgAbelian) -> int:
-    return g.free_rank
-
-
 def primary_decomposition(g: FgAbelian) -> dict[int, tuple[int, ...]]:
-    """Torsion as prime -> descending prime-power exponents."""
+    """Torsion as prime -> descending prime-power exponents.
+
+    The one function that factors integers (by trial division); no
+    normalisation, homology or epimorphism test goes through it.
+    """
     out: dict[int, list[int]] = {}
     for d in g.torsion:
         for p, e in _factorize(d).items():
@@ -405,18 +500,23 @@ def exists_epimorphism(a: FgAbelian, b: FgAbelian) -> bool:
 
     Criterion: rank(a) >= rank(b), and for every prime p and every k >= 1
     the count rank(a) + #{exponents of a at p that are >= k} dominates the
-    same count for b.  Validated against exhaustive homomorphism
-    enumeration in the acceptance suite.
+    same count for b; it is applied to each element of a shared coprime
+    base in place of each prime.  Validated against exhaustive
+    homomorphism enumeration in the acceptance suite.
     """
     if a.free_rank < b.free_rank:
         return False
-    pa = primary_decomposition(a)
-    for p, exps_b in primary_decomposition(b).items():
-        exps_a = pa.get(p, ())
-        for k in range(1, exps_b[0] + 1):
-            count_a = sum(1 for e in exps_a if e >= k)
-            count_b = sum(1 for e in exps_b if e >= k)
-            if a.free_rank + count_a < b.free_rank + count_b:
+    if not b.torsion:
+        return True
+    for exps_a, exps_b in _shared_base_exponents(a, b):
+        if not exps_b:
+            continue
+        top = max(exps_b)
+        # rank(a) - rank(b) + #{a >= k} - #{b >= k}, for k = top down to 1
+        balance = a.free_rank - b.free_rank + sum(m for e, m in exps_a.items() if e > top)
+        for k in range(top, 0, -1):
+            balance += exps_a.get(k, 0) - exps_b.get(k, 0)
+            if balance < 0:
                 return False
     return True
 

@@ -1,6 +1,6 @@
 """Independent oracles for the test suite.
 
-Two deliberately separate computation paths live here:
+Three deliberately separate computation paths live here:
 
 * homology of explicit chain complexes (classifying-space cell
   structures for cyclic groups, tensored for products) so the structural
@@ -10,11 +10,17 @@ Two deliberately separate computation paths live here:
   dynamic program over the subgroups reachable as images of the
   generators.  This enumerates exactly the image subgroups of all
   homomorphisms, one source generator at a time, so agreement with it
-  is agreement with brute-force enumeration.
+  is agreement with brute-force enumeration;
+
+* the factorising normalisation and tuple-spelled Kunneth fold that the
+  counted code in `zlinalg` and `abhomology` replaced: every cyclic
+  summand is a tuple entry, every order is factored by trial division
+  and the divisor chain is rebuilt prime by prime.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -281,3 +287,146 @@ def _p_group_epi(p: int, lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:
                 seen.update(row[x] for x in s)
         states = next_states
     return False
+
+
+# --- reference normalisation and homology -----------------------------------
+
+
+def torsion_chains(bound: int) -> list[tuple[int, ...]]:
+    """Every divisor chain (d_1 | d_2 | ..., each d_i >= 2) whose product is
+    at most `bound`: one per finite abelian group of order <= bound."""
+    chains = [()]
+
+    def grow(chain, product):
+        step = chain[-1] if chain else 1
+        d = step if chain else 2
+        while product * d <= bound:
+            grown = chain + (d,)
+            chains.append(grown)
+            grow(grown, product * d)
+            d += step if chain else 1
+
+    grow((), 1)
+    return chains
+
+
+def _chain_from_primary(primary: dict[int, list[int]]) -> tuple[int, ...]:
+    work = {p: sorted(es, reverse=True) for p, es in primary.items() if es}
+    chain: list[int] = []
+    while work:
+        d = 1
+        for p in sorted(work):
+            d *= p ** work[p][0]
+        for p in list(work):
+            work[p] = work[p][1:]
+            if not work[p]:
+                del work[p]
+        chain.append(d)
+    chain.reverse()
+    return tuple(chain)
+
+
+def reference_from_cyclic_orders(orders) -> FgAbelian:
+    """Normalise cyclic orders (0 meaning Z, 1 dropped) by factoring each."""
+    rank = 0
+    primary: dict[int, list[int]] = {}
+    for n in orders:
+        n = abs(int(n))
+        if n == 0:
+            rank += 1
+        elif n > 1:
+            for p, e in _factor(n).items():
+                primary.setdefault(p, []).append(e)
+    return FgAbelian(rank, _chain_from_primary(primary))
+
+
+def _reference_primary(g: FgAbelian) -> dict[int, list[int]]:
+    out: dict[int, list[int]] = {}
+    for d in g.torsion:
+        for p, e in _factor(d).items():
+            out.setdefault(p, []).append(e)
+    return {p: sorted(es, reverse=True) for p, es in out.items()}
+
+
+def reference_contains_summand(g: FgAbelian, other: FgAbelian) -> bool:
+    """Prime by prime: other's exponents are a sub-multiset of g's."""
+    if other.free_rank > g.free_rank:
+        return False
+    mine = _reference_primary(g)
+    for p, exps in _reference_primary(other).items():
+        pool = list(mine.get(p, ()))
+        for e in exps:
+            if e not in pool:
+                return False
+            pool.remove(e)
+    return True
+
+
+def reference_exists_epimorphism(a: FgAbelian, b: FgAbelian) -> bool:
+    """The per-prime counting criterion, prime by prime."""
+    if a.free_rank < b.free_rank:
+        return False
+    pa = _reference_primary(a)
+    for p, exps_b in _reference_primary(b).items():
+        exps_a = pa.get(p, ())
+        for k in range(1, exps_b[0] + 1):
+            count_a = sum(1 for e in exps_a if e >= k)
+            count_b = sum(1 for e in exps_b if e >= k)
+            if a.free_rank + count_a < b.free_rank + count_b:
+                return False
+    return True
+
+
+def _orders(g: FgAbelian) -> tuple[int, ...]:
+    return (0,) * g.free_rank + g.torsion
+
+
+def _reference_direct_sum(a: FgAbelian, b: FgAbelian) -> FgAbelian:
+    return reference_from_cyclic_orders(_orders(a) + _orders(b))
+
+
+def _reference_tensor(a: FgAbelian, b: FgAbelian) -> FgAbelian:
+    orders = []
+    for x in _orders(a):
+        for y in _orders(b):
+            orders.append(y if x == 0 else x if y == 0 else math.gcd(x, y))
+    return reference_from_cyclic_orders(orders)
+
+
+def _reference_tor(a: FgAbelian, b: FgAbelian) -> FgAbelian:
+    return reference_from_cyclic_orders([math.gcd(x, y) for x in a.torsion for y in b.torsion])
+
+
+def reference_kunneth(ha, hb, n: int) -> FgAbelian:
+    """Degree n of the product, summand by summand, renormalising after
+    every direct sum."""
+    out = FgAbelian(0)
+    for i in range(n + 1):
+        out = _reference_direct_sum(out, _reference_tensor(ha[i], hb[n - i]))
+    for i in range(n):
+        out = _reference_direct_sum(out, _reference_tor(ha[i], hb[n - 1 - i]))
+    return out
+
+
+def _reference_cyclic(n: int, top: int) -> list[FgAbelian]:
+    """H_0..H_top of Z (n = 0) or Z/n: Z in degree 0, then Z in degree 1
+    for Z and Z/n in every odd degree for Z/n."""
+    if n == 0:
+        return [FgAbelian(1), FgAbelian(1)] + [FgAbelian(0)] * (top - 1)
+    return [FgAbelian(1)] + [FgAbelian(0, (n,)) if k % 2 else FgAbelian(0) for k in range(1, top + 1)]
+
+
+def reference_times_cyclic(graded: list[FgAbelian], n: int) -> list[FgAbelian]:
+    """Graded homology of (the group of `graded`) x (Z if n = 0, else Z/n)."""
+    top = len(graded) - 1
+    block = _reference_cyclic(n, top)
+    return [reference_kunneth(graded, block, k) for k in range(top + 1)]
+
+
+def reference_group_homology_graded(orders, top: int) -> list[FgAbelian]:
+    """H_0..H_top of the product of the cyclic groups `orders` (0 meaning
+    Z), folding the Kunneth formula over one cyclic factor at a time."""
+    acc = [FgAbelian(1)] + [FgAbelian(0)] * top
+    for n in orders:
+        acc = reference_times_cyclic(acc, n)
+    return acc

@@ -14,7 +14,6 @@ from aspherical.abhomology import (
     group_homology_graded,
     homology_cyclic,
     kunneth,
-    real_cohomological_dimension,
     real_cohomology_rank,
     tensor,
     tor,
@@ -204,11 +203,3 @@ def test_real_cohomology_matches_free_rank_of_homology():
         g = C(*(rng.choice([0, 0, 2, 3, 4]) for _ in range(rng.randrange(5))))
         for k in range(5):
             assert real_cohomology_rank(g, k) == group_homology(g, k).free_rank
-
-
-def test_real_cohomological_dimension():
-    assert real_cohomological_dimension(FgAbelian(3, (7,))) == 3
-    assert real_cohomological_dimension(C(12)) == 0
-    assert real_cohomological_dimension(TRIVIAL) == 0
-    for m in range(7):
-        assert real_cohomological_dimension(FgAbelian(m)) == m

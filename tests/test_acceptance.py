@@ -4,7 +4,7 @@ line (visible with `pytest -s`), with the stated time budget enforced."""
 import random
 import time
 
-from oracles import epi_exists_oracle, oracle_group_homology
+from oracles import epi_exists_oracle, oracle_group_homology, torsion_chains
 from aspherical.abhomology import group_homology
 from aspherical.asphericity import classify, hopf_obstruction_dim4, realizable_dimensions
 from aspherical.fibersum import (
@@ -144,27 +144,11 @@ def test_criterion_5_smith_normal_form_properties():
     _run_criterion(5, 10.0, "Smith decomposition and cokernel invariance, 500 matrices", body)
 
 
-def _torsion_chains(bound):
-    chains = [()]
-
-    def grow(chain, product):
-        step = chain[-1] if chain else 1
-        d = step if chain else 2
-        while product * d <= bound:
-            grown = chain + (d,)
-            chains.append(grown)
-            grow(grown, product * d)
-            d += step if chain else 1
-
-    grow((), 1)
-    return chains
-
-
 def test_criterion_6_epimorphism_criterion_vs_enumeration():
     def body():
         groups = [
             FgAbelian(rank, chain)
-            for chain in _torsion_chains(64)
+            for chain in torsion_chains(64)
             for rank in range(3)
         ]
         assert len(groups) > 300

@@ -17,7 +17,6 @@ from aspherical.zlinalg import (
     kernel_basis,
     parse_matrix,
     primary_decomposition,
-    rank,
     relator_matrix,
     smith_normal_form,
 )
@@ -132,6 +131,10 @@ def test_fgabelian_validation():
         FgAbelian(0, (1,))
     with pytest.raises(ValueError):
         FgAbelian(-1)
+    with pytest.raises(ValueError):
+        FgAbelian.from_counts(0, {0: 1})
+    with pytest.raises(ValueError):
+        FgAbelian.from_counts(0, {2: -1})
 
 
 def test_fgabelian_normalization():
@@ -148,12 +151,6 @@ def test_fgabelian_render():
     assert FgAbelian(0).render() == "0"
     assert FgAbelian(4, (2,)).render() == "Z^4 + Z/2"
     assert FgAbelian(0, (2, 4)).render() == "Z/2 + Z/4"
-
-
-def test_rank():
-    assert rank(FgAbelian(4, (2,))) == 4
-    assert rank(FgAbelian(0, (6,))) == 0
-    assert rank(FgAbelian(2)) == 2
 
 
 def test_primary_decomposition():
