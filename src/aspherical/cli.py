@@ -10,6 +10,7 @@ aspherical or a failed construction precondition.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -250,6 +251,7 @@ def cmd_fibersum(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aspherical",
@@ -296,7 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _DOMAIN_ERRORS = (
     fibersum.NotAspherical,
-    fibersum.NotSurjective,
     fibersum.NotSurfaceFibered,
     fibersum.RankTooSmall,
     fibersum.InvalidGenus,

@@ -4,9 +4,7 @@ A fibered total space is carried around as its fiber surface
 presentation plus extra relators.  Summing with a trivial bundle
 Sigma_e x F adjoins base generators x_j, y_j, the base surface relator
 and mixed commutators, realizing pi_1(X) x pi_e at the presentation
-level.  The short-surjectivity-diagram quotient and the construction
-chain behind the witness presentations are the abelian-level engines:
-every kernel and quotient funnels through the Smith normal form.
+level.
 """
 
 from __future__ import annotations
@@ -23,23 +21,11 @@ from .fpgroup import (
     surface_group,
     surface_relator,
 )
-from .word import Generator, Word, commutator, generator_word, invert, multiply
-from .zlinalg import (
-    DimensionMismatch,
-    FgAbelian,
-    IntMatrix,
-    cokernel,
-    in_row_lattice,
-    is_surjective_onto,
-    kernel_basis,
-)
+from .word import Generator, Word, commutator, generator_word, multiply
+from .zlinalg import FgAbelian
 
 
 class NotSurfaceFibered(ValueError):
-    pass
-
-
-class NotSurjective(ValueError):
     pass
 
 
@@ -77,22 +63,13 @@ class SurfaceFiberedPresentation:
         return self.presentation.relators[1:]
 
 
-def fiber_sum_with_trivial_bundle(
-    x: SurfaceFiberedPresentation,
-    e: int,
-    action: list[list[Word]] | None = None,
-) -> Presentation:
+def fiber_sum_with_trivial_bundle(x: SurfaceFiberedPresentation, e: int) -> Presentation:
     """Presentation of the fiber sum with Sigma_e x F.
 
     Generators: the fiber's a_i, b_i followed by base generators
     x_1,y_1,...,x_e,y_e.  Relators: both surface relators, the mixed
     commutators [x_j,a_i], [x_j,b_i], [y_j,a_i], [y_j,b_i], then the
     extra relators of x.  The abelianization is always ab(x) + Z^{2e}.
-
-    `action` optionally replaces the trivial monodromy of the bundle: one
-    fiber word per (base generator, fiber generator) pair, giving
-    relators u g u^-1 action(u, g)^-1 instead of plain commutators.
-    Only the trivial action is exercised by the shipped constructions.
     """
     if e < 1:
         raise InvalidGenus(f"base genus must be at least 1, got {e}")
@@ -102,13 +79,6 @@ def fiber_sum_with_trivial_bundle(
         Generator(f"{letter}{j + 1}") for j in range(e) for letter in ("x", "y")
     )
     gens = fiber_gens + base_gens
-    if action is not None:
-        if len(action) != 2 * e or any(len(row) != 2 * f for row in action):
-            raise DimensionMismatch("action table must be (2e) x (2f)")
-        for row in action:
-            for w in row:
-                if w.alphabet != fiber_gens:
-                    raise ValueError("action words must be over the fiber generators")
 
     def fiber_word(w: Word) -> Word:
         return Word(gens, w.letters)
@@ -125,67 +95,9 @@ def fiber_sum_with_trivial_bundle(
         for i in range(f):
             for u_idx in (2 * j, 2 * j + 1):
                 for g_idx in (2 * i, 2 * i + 1):
-                    u = base(u_idx)
-                    g = generator_word(gens, g_idx)
-                    if action is None:
-                        relators.append(commutator(u, g))
-                    else:
-                        conj = multiply(multiply(u, g), invert(u))
-                        relators.append(
-                            multiply(conj, invert(fiber_word(action[u_idx][g_idx])))
-                        )
+                    relators.append(commutator(base(u_idx), generator_word(gens, g_idx)))
     relators.extend(fiber_word(r) for r in x.extra_relators)
     return Presentation(gens, tuple(relators))
-
-
-@dataclass(frozen=True)
-class SsdData:
-    """Abelianized short surjectivity diagram: j: A -> B, an epimorphism
-    phi: A -> P, and relation matrices presenting A, B and P."""
-
-    j_matrix: IntMatrix
-    phi_matrix: IntMatrix
-    a_relations: IntMatrix
-    b_relations: IntMatrix
-    p_relations: IntMatrix
-
-    def __post_init__(self):
-        na = self.j_matrix.cols
-        if self.phi_matrix.cols != na or self.a_relations.cols != na:
-            raise DimensionMismatch("inconsistent generator count for A")
-        if self.b_relations.cols != self.j_matrix.rows:
-            raise DimensionMismatch("inconsistent generator count for B")
-        if self.p_relations.cols != self.phi_matrix.rows:
-            raise DimensionMismatch("inconsistent generator count for P")
-
-
-def ssd_quotient(d: SsdData) -> FgAbelian:
-    """B modulo j(Ker phi), computed at the abelian level.
-
-    Ker phi is the preimage lattice of P's relation lattice under phi,
-    found as the kernel of the block matrix [phi | -relations^T]; its
-    generators are pushed through j and quotiented out of B.
-    """
-    na = d.phi_matrix.cols
-    np_ = d.phi_matrix.rows
-    rp = d.p_relations.rows
-    if not is_surjective_onto(d.phi_matrix, cokernel(d.p_relations), d.p_relations):
-        raise NotSurjective("phi is not surjective at the abelian level")
-    for r in d.a_relations.to_rows():
-        if not in_row_lattice(d.phi_matrix.apply(r), d.p_relations):
-            raise ValueError("phi does not respect A's relations")
-        if not in_row_lattice(d.j_matrix.apply(r), d.b_relations):
-            raise ValueError("j does not respect A's relations")
-    block_rows = [
-        list(d.phi_matrix.row(i)) + [-d.p_relations.at(j, i) for j in range(rp)]
-        for i in range(np_)
-    ]
-    block = IntMatrix.from_rows(block_rows, cols=na + rp)
-    kernel_gens = [vec[:na] for vec in kernel_basis(block)]
-    kernel_gens.extend(tuple(r) for r in d.a_relations.to_rows())
-    pushed = [list(d.j_matrix.apply(list(k))) for k in kernel_gens]
-    pushed.extend(d.b_relations.to_rows())
-    return cokernel(IntMatrix.from_rows(pushed, cols=d.j_matrix.rows))
 
 
 def presentation_chain_for(gamma: FgAbelian) -> tuple[GroupHom, int]:
@@ -226,9 +138,11 @@ def witness_presentation(gamma: FgAbelian) -> Presentation:
     direction of the classification does it.
 
     Z^2 gets the torus group.  Rank m >= 4 splits as A + Z^2 with
-    A = Z^{m-2} + torsion: the chain for A yields a fibered presentation
-    whose quotient is exactly A, and the trivial-bundle fiber sum with
-    base genus 1 adjoins the Z^2 factor.  Everything else is rejected.
+    A = Z^{m-2} + torsion: normal generators of the kernel of the chain
+    for A (`presentation_chain_for`), written on its genus-g source, give
+    a fibered presentation whose quotient is exactly A, and the
+    trivial-bundle fiber sum with base genus 1 adjoins the Z^2 factor.
+    Everything else is rejected.
     """
     m = gamma.free_rank
     if gamma == FgAbelian(2):
@@ -246,11 +160,11 @@ def witness_presentation(gamma: FgAbelian) -> Presentation:
         raise NotAspherical(reason)
 
     a = FgAbelian(m - 2, gamma.torsion)
-    hom, g = presentation_chain_for(a)
-    gens = hom.source.generators
     m_prime = a.free_rank
     r = m_prime + len(a.torsion)
     h = 2 * r
+    g = h + 1
+    gens = surface_group(g).generators
 
     def gen(i: int, sign: int = 1) -> Word:
         return generator_word(gens, i, sign)

@@ -1,8 +1,8 @@
 """Finitely presented groups and presentation-level homomorphisms.
 
 Covers the constructors the constructions need: surface groups with the
-standard one-relator presentation, free groups, free and direct
-products, quotients by normal closures of word sets, presentations of
+standard one-relator presentation, free groups, free products,
+quotients by normal closures of word sets, presentations of
 finitely generated abelian groups, and the pinch map collapsing the
 separating circle of a genus sum.
 
@@ -118,10 +118,6 @@ def apply_hom(f: GroupHom, w: Word) -> Word:
     return out
 
 
-def identity_hom(p: Presentation) -> GroupHom:
-    return GroupHom(p, p, tuple(generator_word(p.generators, i) for i in range(len(p.generators))))
-
-
 def compose(f: GroupHom, g: GroupHom) -> GroupHom:
     """The composite g after f."""
     if f.target != g.source:
@@ -189,18 +185,6 @@ def free_product(p: Presentation, q: Presentation) -> Presentation:
         _rebind(r, gens, shift) for r in q.relators
     )
     return Presentation(gens, relators)
-
-
-def direct_product(p: Presentation, q: Presentation) -> Presentation:
-    """Free product plus all mixed commutators [x, y]."""
-    fp = free_product(p, q)
-    shift = len(p.generators)
-    comms = tuple(
-        commutator(generator_word(fp.generators, i), generator_word(fp.generators, shift + j))
-        for i in range(len(p.generators))
-        for j in range(len(q.generators))
-    )
-    return Presentation(fp.generators, fp.relators + comms)
 
 
 def quotient_by_normal_closure(p: Presentation, ws: list[Word]) -> Presentation:

@@ -237,33 +237,6 @@ def _nondivisible(m, k, rows, cols) -> tuple[int, int] | None:
     return None
 
 
-def determinant(a: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if a.rows != a.cols:
-        raise DimensionMismatch("determinant of a non-square matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = a.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 # --- finitely generated abelian groups -------------------------------------
 
 
@@ -529,32 +502,6 @@ def induced_matrix(f: "GroupHom") -> IntMatrix:
     for g in tgt:
         flat.extend(exponent_sum(f.images[j], g) for j in range(len(f.images)))
     return IntMatrix(len(tgt), len(f.images), tuple(flat))
-
-
-def is_surjective_onto(
-    f_matrix: IntMatrix, target: FgAbelian, target_relations: IntMatrix
-) -> bool:
-    """Whether the columns of f_matrix generate Z^n modulo target_relations."""
-    if f_matrix.rows != target_relations.cols:
-        raise DimensionMismatch(
-            f"map into Z^{f_matrix.rows} but relations over Z^{target_relations.cols}"
-        )
-    if cokernel(target_relations) != target:
-        raise ValueError("target group does not match its relation matrix")
-    rows = [[f_matrix.at(i, j) for i in range(f_matrix.rows)] for j in range(f_matrix.cols)]
-    rows.extend(target_relations.to_rows())
-    return cokernel(IntMatrix.from_rows(rows, cols=f_matrix.rows)).is_trivial
-
-
-def kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
-    """A lattice basis of {x : a x = 0} (columns of v at zero diagonal)."""
-    snf = smith_normal_form(a)
-    diag = snf.diagonal
-    basis = []
-    for j in range(a.cols):
-        if j >= len(diag) or diag[j] == 0:
-            basis.append(tuple(snf.v.at(i, j) for i in range(a.cols)))
-    return basis
 
 
 def in_row_lattice(vector: Sequence[int], rows_matrix: IntMatrix) -> bool:

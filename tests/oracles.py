@@ -16,6 +16,10 @@ Three deliberately separate computation paths live here:
   counted code in `zlinalg` and `abhomology` replaced: every cyclic
   summand is a tuple entry, every order is factored by trial division
   and the divisor chain is rebuilt prime by prime.
+
+Two matrix certificates sit beside them: an exact determinant (the Smith
+transforms must be unimodular) and a surjectivity test for abelianized
+maps (the construction chain must map onto its target).
 """
 
 from __future__ import annotations
@@ -24,7 +28,13 @@ import math
 from dataclasses import dataclass
 from functools import cache
 
-from aspherical.zlinalg import FgAbelian, IntMatrix, cokernel, smith_normal_form
+from aspherical.zlinalg import (
+    DimensionMismatch,
+    FgAbelian,
+    IntMatrix,
+    cokernel,
+    smith_normal_form,
+)
 
 # --- chain complex homology -------------------------------------------------
 
@@ -155,6 +165,51 @@ def oracle_group_homology(orders: list[int], k: int) -> FgAbelian:
         block = circle_complex(top) if n == 0 else lens_complex(n, top)
         total = tensor_complex(total, block)
     return homology_of_complex(total, k)
+
+
+# --- matrix certificates -----------------------------------------------------
+
+
+def determinant(a: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if a.rows != a.cols:
+        raise DimensionMismatch("determinant of a non-square matrix")
+    n = a.rows
+    if n == 0:
+        return 1
+    m = a.to_rows()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def is_surjective_onto(
+    f_matrix: IntMatrix, target: FgAbelian, target_relations: IntMatrix
+) -> bool:
+    """Whether the columns of f_matrix generate Z^n modulo target_relations."""
+    if f_matrix.rows != target_relations.cols:
+        raise DimensionMismatch(
+            f"map into Z^{f_matrix.rows} but relations over Z^{target_relations.cols}"
+        )
+    if cokernel(target_relations) != target:
+        raise ValueError("target group does not match its relation matrix")
+    rows = [[f_matrix.at(i, j) for i in range(f_matrix.rows)] for j in range(f_matrix.cols)]
+    rows.extend(target_relations.to_rows())
+    return cokernel(IntMatrix.from_rows(rows, cols=f_matrix.rows)).is_trivial
 
 
 # --- exhaustive epimorphism search ------------------------------------------

@@ -4,7 +4,7 @@ line (visible with `pytest -s`), with the stated time budget enforced."""
 import random
 import time
 
-from oracles import epi_exists_oracle, oracle_group_homology, torsion_chains
+from oracles import determinant, epi_exists_oracle, oracle_group_homology, torsion_chains
 from aspherical.abhomology import group_homology
 from aspherical.asphericity import classify, hopf_obstruction_dim4, realizable_dimensions
 from aspherical.fibersum import (
@@ -30,7 +30,6 @@ from aspherical.zlinalg import (
     IntMatrix,
     abelianization,
     cokernel,
-    determinant,
     exists_epimorphism,
     smith_normal_form,
 )

@@ -275,7 +275,9 @@ _Z2_11 = "+".join(["Z/2"] * 11)
 
 # (argv, exit code, SHA-256 of stdout as text, SHA-256 of stdout with
 # --format json), recorded from the implementation that spelled out every
-# cyclic summand and factored every order.  The README examples are here.
+# cyclic summand and factored every order, and (witness rows) that built
+# every witness through the validated construction chain.  The README
+# examples are here.
 _GOLDEN = [
     (("classify", "Z^4+Z/2"), 0, "cf9361942d2c5ab4b5c88640a12ae808deb89860f7347f9685777b1182244a8e", "655730f3362dec6e332e7e32bf8187ce73005a22c502e0d083bacbacd320db53"),
     (("classify", "Z^2"), 0, "f226f6fc9abe52bf60f00bb8d2d7d083a053f58b168080b34ae6121d81cd8ac3", "54d9da4e0ad892c254abc715de78ef0bbe753a17abee83d57d96a99df488e9ae"),
@@ -294,6 +296,11 @@ _GOLDEN = [
     (("homology", "Z/4+Z/6+Z/9", "6"), 0, "e5ecd584a91ac7e216e004390fc10bccd6aa13a62fc8fc3e601a643c5ef56545", "dca0076e6ffb2db015bfd537e3cfa68563e42f3b9927fa3e5a8ec9a36707d649"),
     (("homology", "Z^2+Z/12+Z/18", "5"), 0, "a0aad0daa51c763aed4fffd05ed91d47d2e6d3e632f973d934171398fe461b05", "2a8ff1589ec0db01968e866446f44fbe452711b1410a563d45a8b22313d9b43f"),
     (("homology", "Z+Z/6+Z/35", "4"), 0, "3c7aaed390a304b1938d29f945a19dbdb2a25a28347d6ed8c4f60325d045af0b", "e0c7e44fa926cd89f3d008be782ff0a798999b9836905e5abaecc34e2c671ed7"),
+    (("witness", "Z^4"), 0, "8bf1ad11b61a40f478640e9206b286cca83c7ce1e768b846b9e11d43ed9c2104", "175cacb42701117c66432743978a739eb5553050e7793c9e3f92adfe728e1032"),
+    (("witness", "Z^4+Z/2"), 0, "556c966800ce1e604eea5bb4a7f4f74efa96a05cae41e4b2fcc1c9334f81e02c", "4ae19777973d07acedcc19b37b903291c07c54bd3e72c7e8556b06c998f5123a"),
+    (("witness", "Z^6+Z/3+Z/6"), 0, "b7156623fdcf1b6d1214e00d1e4c118661caec45d4c44e3297d880ea1f581ce8", "f2ab3bdfde55d138bdb59a3994613ee26a840d66da9f8b61346e2aded9e2dcd6"),
+    (("witness", "Z^12+Z/2+Z/6"), 0, "d76ebc554ee3564722150a4b6240ed85f3a08fec78a32c8fcaf64190a74b5646", "c1f9f63947242bdad9f94c19742d89181f115eabb992e467754b540efdf5547d"),
+    (("witness", "Z^3"), 3, "ec2a84a70703fb0b5bb3e66769dcfd3b66cb081eafab45035047aa46910a6243", "1451b190f435fb7344a52def078ebbf6d61e22e907850dd90f59e7decaa457ad"),
 ]
 
 
@@ -303,6 +310,36 @@ _GOLDEN = [
     ids=[" ".join(argv).replace(_Z2_11, "(Z/2)^11") for argv, *_ in _GOLDEN],
 )
 def test_golden_stdout(capsys, argv, code, text_sha, json_sha):
+    for fmt, digest in (("text", text_sha), ("json", json_sha)):
+        got, out, _ = run(capsys, "--format", fmt, *argv)
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+_MATRIX_4X4 = "2 4 4 -6\n-6 6 12 10\n10 -4 -16 8\n3 0 7 -5\n"
+# The chain relation (t_b1 t_a1 t_b1)^4 on the genus-1 fiber.
+_GENUS_1_CHAIN = (
+    "fibration chain relation genus 1\nfiber_genus 1\n" + "cycle + b1\ncycle + a1\ncycle + b1\n" * 4
+)
+
+# Same layout as _GOLDEN for commands that read a file; `pi1.txt` is the
+# pi1_presentation the genus-1 chain fibration prints.
+_GOLDEN_FILES = [
+    (("snf", "m.txt"), 0, "5b1dbdb76e207caf99157e171ccaeadd6e0dbe83c9c781097f6e181f791cad9b", "8f42b32aeaadc8044f83ccb705bcbdba0aebbdf594a3dd9855846dae835ac415"),
+    (("fibration", "fib.txt"), 0, "1ced22b1b93cd35a6a15e25f1b0d4fb14f767479c4b1d4a38bb617afca545c24", "f899e1a5254b8133d5af7c3d7f8468a269e05bc187c33736917e31c07870372e"),
+    (("fibersum", "pi1.txt", "-e", "2"), 0, "298da50736c593d425e5dee720fdaa6a9c890055b01f1085bc43c0c46e7e3c2b", "01ac6a38b0f1dfb0e1abe2a7585d881a600110983edf41e8b0f3132334266aec"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, text_sha, json_sha", _GOLDEN_FILES, ids=[argv[0] for argv, *_ in _GOLDEN_FILES]
+)
+def test_golden_stdout_from_files(capsys, tmp_path, argv, code, text_sha, json_sha):
+    (tmp_path / "m.txt").write_text(_MATRIX_4X4)
+    (tmp_path / "fib.txt").write_text(_GENUS_1_CHAIN)
+    _, out, _ = run(capsys, "--format", "json", "fibration", str(tmp_path / "fib.txt"))
+    (tmp_path / "pi1.txt").write_text(json.loads(out)["pi1_presentation"])
+    argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
     for fmt, digest in (("text", text_sha), ("json", json_sha)):
         got, out, _ = run(capsys, "--format", fmt, *argv)
         assert got == code

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import determinant
 from aspherical.fpgroup import FormatError, surface_group
 from aspherical.lefschetz import (
     HomologyClass,
@@ -23,7 +24,6 @@ from aspherical.zlinalg import (
     IntMatrix,
     abelianization,
     cokernel,
-    determinant,
 )
 from aspherical.word import exponent_vector
 

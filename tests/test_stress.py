@@ -6,6 +6,7 @@ import string
 import subprocess
 import sys
 
+from oracles import determinant
 from aspherical.asphericity import realizable_dimensions
 from aspherical.fibersum import witness_presentation
 from aspherical.fpgroup import (
@@ -26,7 +27,6 @@ from aspherical.zlinalg import (
     IntMatrix,
     abelianization,
     cokernel,
-    determinant,
     smith_normal_form,
 )
 
