@@ -221,7 +221,7 @@ def cmd_snf(args: argparse.Namespace) -> int:
         "D": snf.d.render(),
         "U": snf.u.render(),
         "V": snf.v.render(),
-        "cokernel": zlinalg.cokernel(a).render(),
+        "cokernel": snf.cokernel.render(),
     }
     _emit(payload, args.format)
     return EXIT_OK

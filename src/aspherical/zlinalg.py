@@ -2,13 +2,21 @@
 
 Everything abelian funnels through here: Smith normal form with
 unimodular transforms, cokernels in invariant-factor form, and the
-epimorphism test between finitely generated abelian groups.  Matrices
-are immutable and dense; all arithmetic is exact Python int arithmetic
-(intermediate Smith entries can grow well past machine words).
+epimorphism test between finitely generated abelian groups.  All
+arithmetic is exact Python int arithmetic (intermediate Smith entries
+can grow well past machine words).
+
+`IntMatrix` is immutable and dense, and `smith_normal_form` works on it
+with a pinned pivot rule.  A cokernel does not start there: its rows are
+kept sparse and presolved (zero and repeated rows dropped, +-1 pivots
+eliminated), and only the small core left is put through the Smith
+form.  Relator lattices, which are mostly zero, repeated or unit rows,
+are abelianized that way straight from the relator words.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -122,6 +130,12 @@ class SmithDecomposition:
     @property
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.d.at(i, i) for i in range(min(self.d.rows, self.d.cols)))
+
+    @property
+    def cokernel(self) -> "FgAbelian":
+        """Z^cols modulo the row lattice of the decomposed matrix."""
+        nonzero = [x for x in self.diagonal if x]
+        return FgAbelian(self.d.cols - len(nonzero), tuple(x for x in nonzero if x > 1))
 
 
 def _pivot(m: list[list[int]], k: int, rows: int, cols: int) -> tuple[int, int] | None:
@@ -419,6 +433,8 @@ class FgAbelian:
         """
         if other.free_rank > self.free_rank:
             return False
+        if not other.torsion:
+            return True
         for have, need in _shared_base_exponents(self, other):
             if any(have.get(e, 0) < m for e, m in need.items()):
                 return False
@@ -434,16 +450,118 @@ class FgAbelian:
         return " + ".join(parts) if parts else "0"
 
 
-def cokernel(a: IntMatrix) -> FgAbelian:
-    """Z^cols modulo the row lattice of `a`, in invariant-factor form."""
-    diag = smith_normal_form(a).diagonal
-    nonzero = [x for x in diag if x]
-    return FgAbelian(a.cols - len(nonzero), tuple(x for x in nonzero if x > 1))
+def cokernel(a: IntMatrix | Iterable[Mapping[int, int]], cols: int | None = None) -> FgAbelian:
+    """Z^cols modulo the row lattice of `a`, in invariant-factor form.
+
+    `a` is a matrix, or its rows as sparse {column: entry} maps over
+    `cols` columns.  The rows are presolved (`_presolve`) before any
+    dense work; only the core left goes through `smith_normal_form`, and
+    the columns that no row of the core touches are free.
+
+    >>> print(cokernel([{0: 2}, {0: -2}, {}, {1: 1, 2: 3}], cols=3).render())
+    Z + Z/2
+    """
+    if isinstance(a, IntMatrix):
+        cols = a.cols
+        rows, eliminated = _presolve(dict(enumerate(a.row(i))) for i in range(a.rows))
+    elif cols is None:
+        raise TypeError("sparse rows need a column count")
+    else:
+        rows, eliminated = _presolve(a)
+    touched = sorted({j for row in rows for j in row})
+    free = cols - eliminated - len(touched)
+    if not rows:
+        return FgAbelian(free)
+    core = smith_normal_form(
+        IntMatrix.from_rows([[row.get(j, 0) for j in touched] for row in rows], cols=len(touched))
+    ).cokernel
+    return FgAbelian(core.free_rank + free, core.torsion)
+
+
+def _distinct_rows(rows: Iterable[Mapping[int, int]]) -> list[dict[int, int]]:
+    """The nonzero rows, each kept once up to sign."""
+    out = []
+    seen = set()
+    for row in rows:
+        key = tuple(sorted((j, x) for j, x in row.items() if x))
+        if not key:
+            continue
+        if key[0][1] < 0:
+            key = tuple((j, -x) for j, x in key)
+        if key not in seen:
+            seen.add(key)
+            out.append(dict(key))
+    return out
+
+
+def _presolve(rows: Iterable[Mapping[int, int]]) -> tuple[list[dict[int, int]], int]:
+    """Sparse presolve of a row lattice (Havas, Holt, Rees, Linear Algebra
+    Appl. 192, 1993); returns the rows left and the number of columns
+    eliminated.
+
+    Zero rows and rows equal to a kept row or its negation are dropped.
+    Then, while some row has an entry +-1, the shortest such row (lowest
+    column on ties) solves for that column's generator: the column is
+    cleared from every other row, and the row and the column are
+    deleted, which leaves the quotient unchanged.  Short pivot rows keep
+    the fill small.
+    """
+    live = dict(enumerate(_distinct_rows(rows)))
+    holders: dict[int, set[int]] = {}  # column -> rows with an entry there
+    heap = []  # (length, row) for rows with a +-1 entry; stale ones skipped
+    for i, row in live.items():
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+        if _has_unit(row):
+            heap.append((len(row), i))
+    heapq.heapify(heap)
+    eliminated = 0
+    while heap:
+        size, p = heapq.heappop(heap)
+        pivot_row = live.get(p)
+        if pivot_row is None or len(pivot_row) != size or not _has_unit(pivot_row):
+            continue
+        j = min(k for k, x in pivot_row.items() if x in (1, -1))
+        unit = pivot_row[j]
+        del live[p]
+        for k in pivot_row:
+            holders[k].discard(p)
+        for i in holders.pop(j):
+            row = live[i]
+            f = row.pop(j) * unit
+            for k, x in pivot_row.items():
+                if k == j:
+                    continue
+                y = row.get(k, 0) - f * x
+                if y:
+                    if k not in row:
+                        holders[k].add(i)
+                    row[k] = y
+                else:
+                    del row[k]
+                    holders[k].discard(i)
+            if not row:
+                del live[i]
+            elif _has_unit(row):
+                heapq.heappush(heap, (len(row), i))
+        eliminated += 1
+    return _distinct_rows(live.values()), eliminated
+
+
+def _has_unit(row: Mapping[int, int]) -> bool:
+    return any(x in (1, -1) for x in row.values())
 
 
 def abelianization(p: "Presentation") -> FgAbelian:
-    """Cokernel of the relator exponent matrix."""
-    return cokernel(relator_matrix(p))
+    """Cokernel of the relator exponent matrix, its rows read off the
+    relator words as sparse exponent sums."""
+    rows = []
+    for r in p.relators:
+        row: dict[int, int] = {}
+        for i, s in r.letters:
+            row[i] = row.get(i, 0) + s
+        rows.append(row)
+    return cokernel(rows, len(p.generators))
 
 
 def relator_matrix(p: "Presentation") -> IntMatrix:
@@ -481,6 +599,9 @@ def exists_epimorphism(a: FgAbelian, b: FgAbelian) -> bool:
         return False
     if not b.torsion:
         return True
+    if not a.torsion:
+        # Z^n maps onto b exactly when b needs at most n generators.
+        return a.free_rank >= b.free_rank + len(b.torsion)
     for exps_a, exps_b in _shared_base_exponents(a, b):
         if not exps_b:
             continue

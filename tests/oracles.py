@@ -17,9 +17,12 @@ Three deliberately separate computation paths live here:
   summand is a tuple entry, every order is factored by trial division
   and the divisor chain is rebuilt prime by prime.
 
-Two matrix certificates sit beside them: an exact determinant (the Smith
-transforms must be unimodular) and a surjectivity test for abelianized
-maps (the construction chain must map onto its target).
+Three matrix certificates sit beside them: an exact determinant (the
+Smith transforms must be unimodular), the symplectic gram matrix (twist
+matrices must preserve it) and a surjectivity test for abelianized maps
+(the construction chain must map onto its target).  The dense
+cokernel, read off the Smith form of the whole matrix, is the reference
+for the presolved one in `zlinalg`.
 """
 
 from __future__ import annotations
@@ -168,6 +171,36 @@ def oracle_group_homology(orders: list[int], k: int) -> FgAbelian:
 
 
 # --- matrix certificates -----------------------------------------------------
+
+
+def symplectic_gram(g: int) -> IntMatrix:
+    """Block diagonal [[0,1],[-1,0]] pairing for the a_i, b_i basis: every
+    Dehn twist matrix t must satisfy t^T J t = J."""
+    n = 2 * g
+    rows = [[0] * n for _ in range(n)]
+    for i in range(g):
+        rows[2 * i][2 * i + 1] = 1
+        rows[2 * i + 1][2 * i] = -1
+    return IntMatrix.from_rows(rows, cols=n)
+
+
+def reference_cokernel(a: IntMatrix) -> FgAbelian:
+    """Z^cols modulo the row lattice of `a`, from the dense Smith form of
+    the whole matrix, with no presolve."""
+    diag = smith_normal_form(a).diagonal
+    nonzero = [x for x in diag if x]
+    return FgAbelian(a.cols - len(nonzero), tuple(x for x in nonzero if x > 1))
+
+
+def chain_relation(g: int) -> str:
+    """Fibration file of the chain relation (t_1 ... t_{2g+1})^{2g+2} on the
+    genus-g fiber, over the chain b1, a1, b1^-1 b2, a2, ..., a_g, b_g."""
+    words = ["b1"]
+    for k in range(1, g + 1):
+        words.append(f"a{k}")
+        words.append(f"b{k}^-1 b{k + 1}" if k < g else f"b{g}")
+    cycles = "".join(f"cycle + {w}\n" for w in words)
+    return f"fibration chain relation genus {g}\nfiber_genus {g}\n" + cycles * (2 * g + 2)
 
 
 def determinant(a: IntMatrix) -> int:

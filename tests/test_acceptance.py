@@ -4,7 +4,13 @@ line (visible with `pytest -s`), with the stated time budget enforced."""
 import random
 import time
 
-from oracles import determinant, epi_exists_oracle, oracle_group_homology, torsion_chains
+from oracles import (
+    determinant,
+    epi_exists_oracle,
+    oracle_group_homology,
+    symplectic_gram,
+    torsion_chains,
+)
 from aspherical.abhomology import group_homology
 from aspherical.asphericity import classify, hopf_obstruction_dim4, realizable_dimensions
 from aspherical.fibersum import (
@@ -20,7 +26,6 @@ from aspherical.lefschetz import (
     VanishingCycle,
     homology_trivial,
     monodromy_product,
-    symplectic_gram,
     total_space_pi1,
     twist_matrix,
 )

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from oracles import chain_relation
 from aspherical.cli import GroupSpecError, main, parse_group_spec
 from aspherical.zlinalg import FgAbelian
 
@@ -276,8 +277,8 @@ _Z2_11 = "+".join(["Z/2"] * 11)
 # (argv, exit code, SHA-256 of stdout as text, SHA-256 of stdout with
 # --format json), recorded from the implementation that spelled out every
 # cyclic summand and factored every order, and (witness rows) that built
-# every witness through the validated construction chain.  The README
-# examples are here.
+# every witness through the validated construction chain and took every
+# cokernel from a dense Smith form.  The README examples are here.
 _GOLDEN = [
     (("classify", "Z^4+Z/2"), 0, "cf9361942d2c5ab4b5c88640a12ae808deb89860f7347f9685777b1182244a8e", "655730f3362dec6e332e7e32bf8187ce73005a22c502e0d083bacbacd320db53"),
     (("classify", "Z^2"), 0, "f226f6fc9abe52bf60f00bb8d2d7d083a053f58b168080b34ae6121d81cd8ac3", "54d9da4e0ad892c254abc715de78ef0bbe753a17abee83d57d96a99df488e9ae"),
@@ -301,6 +302,7 @@ _GOLDEN = [
     (("witness", "Z^6+Z/3+Z/6"), 0, "b7156623fdcf1b6d1214e00d1e4c118661caec45d4c44e3297d880ea1f581ce8", "f2ab3bdfde55d138bdb59a3994613ee26a840d66da9f8b61346e2aded9e2dcd6"),
     (("witness", "Z^12+Z/2+Z/6"), 0, "d76ebc554ee3564722150a4b6240ed85f3a08fec78a32c8fcaf64190a74b5646", "c1f9f63947242bdad9f94c19742d89181f115eabb992e467754b540efdf5547d"),
     (("witness", "Z^3"), 3, "ec2a84a70703fb0b5bb3e66769dcfd3b66cb081eafab45035047aa46910a6243", "1451b190f435fb7344a52def078ebbf6d61e22e907850dd90f59e7decaa457ad"),
+    (("witness", "Z^30+Z/2+Z/4"), 0, "29f474dcdc805cea743fbb1ab2699bbff14b9fe77f402244fab35967f1f448f7", "d91bb18fc9aeb31155adc155843c0fe799561a2b490baa19e526b176ea17e60a"),
 ]
 
 
@@ -317,28 +319,31 @@ def test_golden_stdout(capsys, argv, code, text_sha, json_sha):
 
 
 _MATRIX_4X4 = "2 4 4 -6\n-6 6 12 10\n10 -4 -16 8\n3 0 7 -5\n"
-# The chain relation (t_b1 t_a1 t_b1)^4 on the genus-1 fiber.
-_GENUS_1_CHAIN = (
-    "fibration chain relation genus 1\nfiber_genus 1\n" + "cycle + b1\ncycle + a1\ncycle + b1\n" * 4
-)
 
-# Same layout as _GOLDEN for commands that read a file; `pi1.txt` is the
-# pi1_presentation the genus-1 chain fibration prints.
+# (test id, argv, ...) and otherwise the layout of _GOLDEN, for commands
+# that read a file: `fib.txt` and `fib6.txt` hold the chain relation on
+# the genus-1 and genus-6 fiber, and `pi1.txt` and `pi1_6.txt` the
+# pi1_presentation each prints.
 _GOLDEN_FILES = [
-    (("snf", "m.txt"), 0, "5b1dbdb76e207caf99157e171ccaeadd6e0dbe83c9c781097f6e181f791cad9b", "8f42b32aeaadc8044f83ccb705bcbdba0aebbdf594a3dd9855846dae835ac415"),
-    (("fibration", "fib.txt"), 0, "1ced22b1b93cd35a6a15e25f1b0d4fb14f767479c4b1d4a38bb617afca545c24", "f899e1a5254b8133d5af7c3d7f8468a269e05bc187c33736917e31c07870372e"),
-    (("fibersum", "pi1.txt", "-e", "2"), 0, "298da50736c593d425e5dee720fdaa6a9c890055b01f1085bc43c0c46e7e3c2b", "01ac6a38b0f1dfb0e1abe2a7585d881a600110983edf41e8b0f3132334266aec"),
+    ("snf", ("snf", "m.txt"), 0, "5b1dbdb76e207caf99157e171ccaeadd6e0dbe83c9c781097f6e181f791cad9b", "8f42b32aeaadc8044f83ccb705bcbdba0aebbdf594a3dd9855846dae835ac415"),
+    ("fibration", ("fibration", "fib.txt"), 0, "1ced22b1b93cd35a6a15e25f1b0d4fb14f767479c4b1d4a38bb617afca545c24", "f899e1a5254b8133d5af7c3d7f8468a269e05bc187c33736917e31c07870372e"),
+    ("fibersum", ("fibersum", "pi1.txt", "-e", "2"), 0, "298da50736c593d425e5dee720fdaa6a9c890055b01f1085bc43c0c46e7e3c2b", "01ac6a38b0f1dfb0e1abe2a7585d881a600110983edf41e8b0f3132334266aec"),
+    ("fibration genus 6", ("fibration", "fib6.txt"), 0, "d7b3a67e804ed628f4d74be4ebec3746f643a06a57e0ea80b9d8999a04847c71", "3452b07234bc532620570f8ddd01a51a3d13c03fc32e3b6e776f0f57ee6fdd59"),
+    ("fibersum genus 6 -e 4", ("fibersum", "pi1_6.txt", "-e", "4"), 0, "5f35e65f68a0dd0a57276edce2cf6d1f1b7ab9976fc99bee1a91d0e93f7619c1", "c0821146ec954ce0dfe20276b4a66ff1cdbd2847198cc479bbe2a85798154170"),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, code, text_sha, json_sha", _GOLDEN_FILES, ids=[argv[0] for argv, *_ in _GOLDEN_FILES]
+    "argv, code, text_sha, json_sha",
+    [row[1:] for row in _GOLDEN_FILES],
+    ids=[row[0] for row in _GOLDEN_FILES],
 )
 def test_golden_stdout_from_files(capsys, tmp_path, argv, code, text_sha, json_sha):
     (tmp_path / "m.txt").write_text(_MATRIX_4X4)
-    (tmp_path / "fib.txt").write_text(_GENUS_1_CHAIN)
-    _, out, _ = run(capsys, "--format", "json", "fibration", str(tmp_path / "fib.txt"))
-    (tmp_path / "pi1.txt").write_text(json.loads(out)["pi1_presentation"])
+    for fib, pi1, g in (("fib.txt", "pi1.txt", 1), ("fib6.txt", "pi1_6.txt", 6)):
+        (tmp_path / fib).write_text(chain_relation(g))
+        _, out, _ = run(capsys, "--format", "json", "fibration", str(tmp_path / fib))
+        (tmp_path / pi1).write_text(json.loads(out)["pi1_presentation"])
     argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
     for fmt, digest in (("text", text_sha), ("json", json_sha)):
         got, out, _ = run(capsys, "--format", fmt, *argv)
@@ -390,3 +395,14 @@ def test_homology_of_many_summands_in_bounded_time(capsys):
         assert time.perf_counter() - start < 1.0, spec
         assert code == 0
         assert h8 in out
+
+
+def test_witness_of_rank_40_in_bounded_time(capsys):
+    # A dense Smith form of the whole 1129 x 156 relator matrix took about
+    # a second; the presolve eliminates every relator and leaves no core.
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "witness", "Z^40")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert "abelianization: Z^40\n" in out
+    assert "abelianization_check: PASS" in out

@@ -55,6 +55,10 @@ def test_summand_and_epimorphism_pairs_match_reference():
         for b in groups:
             assert a.contains_summand(b) == reference_contains_summand(a, b), (a, b)
             assert exists_epimorphism(a, b) == reference_exists_epimorphism(a, b), (a, b)
+        # Free sources on either side of a's generator count.
+        for n in range(max(a.free_rank + len(a.torsion) - 1, 0), a.free_rank + len(a.torsion) + 2):
+            free = FgAbelian(n)
+            assert exists_epimorphism(free, a) == reference_exists_epimorphism(free, a), (n, a)
 
 
 def test_from_cyclic_orders_random_sweep():

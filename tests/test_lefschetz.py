@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import determinant
+from oracles import determinant, symplectic_gram
 from aspherical.fpgroup import FormatError, surface_group
 from aspherical.lefschetz import (
     HomologyClass,
@@ -12,7 +12,6 @@ from aspherical.lefschetz import (
     homology_trivial,
     monodromy_product,
     parse_factorization,
-    symplectic_gram,
     symplectic_pairing,
     total_space_pi1,
     twist_matrix,
@@ -118,6 +117,31 @@ def test_monodromy_ab_pair_has_order_six():
             orders.append(k)
     assert orders == [6]
     assert homology_trivial(factorization(1, *(pair * 6)))
+
+
+def test_monodromy_product_matches_dense_twist_fold():
+    rng = random.Random(505)
+    for g in range(1, 5):
+        p = surface_group(g)
+        for _ in range(12):
+            cycles, signs = [], []
+            for _ in range(rng.randrange(12)):
+                letters = [
+                    (rng.randrange(2 * g), rng.choice((1, -1))) for _ in range(rng.randrange(1, 7))
+                ]
+                cycles.append(VanishingCycle.from_word(word_from_letters(p.generators, letters)))
+                signs.append(rng.choice((1, -1)))
+            if rng.random() < 0.5:  # undo every twist, last first: trivial
+                cycles += reversed(cycles)
+                signs += [-s for s in reversed(signs)]
+            m = MonodromyFactorization(g, tuple(cycles), tuple(signs))
+            dense = IntMatrix.identity(2 * g)
+            for c, s in zip(cycles, signs):
+                dense = twist_matrix(c.homology, s).mul(dense)
+            assert monodromy_product(m) == dense
+            trivial = dense == IntMatrix.identity(2 * g)
+            assert homology_trivial(m) == trivial
+            assert ("caveat" not in total_space_pi1(m).label) == trivial
 
 
 def test_monodromy_order_convention():
