@@ -21,7 +21,15 @@ from .fpgroup import (
     surface_group,
     surface_relator,
 )
-from .word import Generator, Word, commutator, generator_word, multiply
+from .word import (
+    _MAX_BASE_GENUS,
+    _MAX_PARSED_LETTERS,
+    _MAX_WITNESS_GENERATORS,
+    Generator,
+    Word,
+    commutator,
+    generator_word,
+)
 from .zlinalg import FgAbelian
 
 
@@ -73,6 +81,8 @@ def fiber_sum_with_trivial_bundle(x: SurfaceFiberedPresentation, e: int) -> Pres
     """
     if e < 1:
         raise InvalidGenus(f"base genus must be at least 1, got {e}")
+    if e > _MAX_BASE_GENUS:
+        raise ValueError(f"base genus {e} exceeds the limit of {_MAX_BASE_GENUS}")
     f = x.fiber_genus
     fiber_gens = x.presentation.generators
     base_gens = tuple(
@@ -83,19 +93,13 @@ def fiber_sum_with_trivial_bundle(x: SurfaceFiberedPresentation, e: int) -> Pres
     def fiber_word(w: Word) -> Word:
         return Word(gens, w.letters)
 
-    def base(j: int) -> Word:
-        return generator_word(gens, 2 * f + j)
-
-    relators = [fiber_word(x.presentation.relators[0])]
-    base_relator = Word(gens, ())
-    for j in range(e):
-        base_relator = multiply(base_relator, commutator(base(2 * j), base(2 * j + 1)))
-    relators.append(base_relator)
+    gen_words = [generator_word(gens, k) for k in range(len(gens))]
+    relators = [fiber_word(x.presentation.relators[0]), surface_relator(gens, 2 * f)]
     for j in range(e):
         for i in range(f):
-            for u_idx in (2 * j, 2 * j + 1):
+            for u_idx in (2 * f + 2 * j, 2 * f + 2 * j + 1):
                 for g_idx in (2 * i, 2 * i + 1):
-                    relators.append(commutator(base(u_idx), generator_word(gens, g_idx)))
+                    relators.append(commutator(gen_words[u_idx], gen_words[g_idx]))
     relators.extend(fiber_word(r) for r in x.extra_relators)
     return Presentation(gens, tuple(relators))
 
@@ -158,6 +162,16 @@ def witness_presentation(gamma: FgAbelian) -> Presentation:
         reason = None
     if reason is not None:
         raise NotAspherical(reason)
+    if m + len(gamma.torsion) > _MAX_WITNESS_GENERATORS:
+        raise ValueError(
+            f"free rank plus torsion factors is {m + len(gamma.torsion)}, over the "
+            f"witness limit of {_MAX_WITNESS_GENERATORS}"
+        )
+    if sum(gamma.torsion) > _MAX_PARSED_LETTERS:
+        raise ValueError(
+            f"torsion relators would take {sum(gamma.torsion)} letters, over the "
+            f"witness limit of {_MAX_PARSED_LETTERS}"
+        )
 
     a = FgAbelian(m - 2, gamma.torsion)
     m_prime = a.free_rank
@@ -165,9 +179,7 @@ def witness_presentation(gamma: FgAbelian) -> Presentation:
     h = 2 * r
     g = h + 1
     gens = surface_group(g).generators
-
-    def gen(i: int, sign: int = 1) -> Word:
-        return generator_word(gens, i, sign)
+    gen_words = [generator_word(gens, k) for k in range(len(gens))]
 
     # Normal generators of the chain's kernel: the killed generators, the
     # identification of the torus pair a_g, b_g with the two surface
@@ -175,14 +187,14 @@ def witness_presentation(gamma: FgAbelian) -> Presentation:
     # the survivors commute, and the torsion powers.
     relators: list[Word] = []
     for i in range(h):
-        relators.append(gen(2 * i + 1))  # b_{i+1}
+        relators.append(gen_words[2 * i + 1])  # b_{i+1}
     for j in range(r, h):
-        relators.append(gen(2 * j))  # a_{j+1} beyond the generator range
-    relators.append(multiply(gen(2 * h), gen(2 * (m_prime - 2), -1)))
-    relators.append(multiply(gen(2 * h + 1), gen(2 * (m_prime - 1), -1)))
+        relators.append(gen_words[2 * j])  # a_{j+1} beyond the generator range
+    relators.append(Word(gens, ((2 * h, 1), (2 * (m_prime - 2), -1))))
+    relators.append(Word(gens, ((2 * h + 1, 1), (2 * (m_prime - 1), -1))))
     for i in range(r):
         for j in range(i + 1, r):
-            relators.append(commutator(gen(2 * i), gen(2 * j)))
+            relators.append(commutator(gen_words[2 * i], gen_words[2 * j]))
     for t, dt in enumerate(a.torsion):
         relators.append(Word(gens, ((2 * (m_prime + t), 1),) * dt))
 

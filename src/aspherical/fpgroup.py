@@ -22,13 +22,12 @@ from .word import (
     Generator,
     UnknownGenerator,
     Word,
+    _free_reduce,
+    _inv,
     commutator,
     cyclic_reduce,
-    empty_word,
     exponent_vector,
     generator_word,
-    invert,
-    multiply,
     parse_word,
     render_word,
 )
@@ -112,10 +111,10 @@ def apply_hom(f: GroupHom, w: Word) -> Word:
     """Substitute images generator-wise and freely reduce."""
     if w.alphabet != f.source.generators:
         raise ValueError("word over a different alphabet than the source")
-    out = empty_word(f.target.generators)
+    letters: list[tuple[int, int]] = []
     for i, s in w.letters:
-        out = multiply(out, f.images[i] if s > 0 else invert(f.images[i]))
-    return out
+        letters += f.images[i].letters if s > 0 else _inv(f.images[i].letters)
+    return Word(f.target.generators, _free_reduce(letters))
 
 
 def compose(f: GroupHom, g: GroupHom) -> GroupHom:
@@ -135,12 +134,13 @@ def free_group(r: int) -> Presentation:
     return Presentation(gens, (), label=f"F_{r}")
 
 
-def surface_relator(gens: tuple[Generator, ...]) -> Word:
-    """The product of commutators [a_1,b_1]...[a_g,b_g] over paired generators."""
-    w = empty_word(gens)
-    for i in range(0, len(gens), 2):
-        w = multiply(w, commutator(generator_word(gens, i), generator_word(gens, i + 1)))
-    return w
+def surface_relator(gens: tuple[Generator, ...], first: int = 0) -> Word:
+    """[a_1,b_1]...[a_g,b_g] over the generator pairs from index `first` on,
+    laid out already reduced: neighbouring letters name different generators."""
+    letters: list[tuple[int, int]] = []
+    for i in range(first, len(gens), 2):
+        letters += ((i, 1), (i + 1, 1), (i, -1), (i + 1, -1))
+    return Word(gens, tuple(letters))
 
 
 def surface_group(g: int) -> Presentation:

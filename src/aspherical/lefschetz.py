@@ -19,7 +19,7 @@ from .fpgroup import (
     quotient_by_normal_closure,
     surface_group,
 )
-from .word import Word, cyclic_reduce, exponent_vector, parse_word
+from .word import _MAX_FIBER_GENUS, Word, cyclic_reduce, exponent_vector, parse_word
 from .zlinalg import DimensionMismatch, IntMatrix
 
 
@@ -189,6 +189,10 @@ def parse_factorization(text: str) -> tuple[MonodromyFactorization, str | None]:
                 raise FormatError(f"line {lineno}: bad genus {rest!r}") from None
             if genus < 0:
                 raise FormatError(f"line {lineno}: negative genus")
+            if genus > _MAX_FIBER_GENUS:
+                raise FormatError(
+                    f"line {lineno}: fiber_genus {genus} exceeds the limit of {_MAX_FIBER_GENUS}"
+                )
             fiber = surface_group(genus).generators
         elif key == "cycle":
             if fiber is None:

@@ -12,6 +12,10 @@ grammar, shared by relator files and the CLI, is
 
 with factors separated by whitespace or "*".  Commutator brackets are
 sugar: [u,v] denotes u v u^-1 v^-1.  The identity word renders as "1".
+
+The parser, and every function here or in `fpgroup` and `fibersum` that
+makes a word, assembles the letters, freely reduces them once and
+constructs (so validates) one `Word`, never a fold of intermediate words.
 """
 
 from __future__ import annotations
@@ -72,9 +76,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __mul__(self, other: "Word") -> "Word":
-        return multiply(self, other)
-
     def render(self) -> str:
         return render_word(self)
 
@@ -87,6 +88,10 @@ def _free_reduce(letters: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], .
         else:
             out.append((i, s))
     return tuple(out)
+
+
+def _inv(letters: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    return [(i, -s) for i, s in reversed(letters)]
 
 
 def word_from_letters(
@@ -112,29 +117,25 @@ def multiply(u: Word, v: Word) -> Word:
 
 
 def invert(w: Word) -> Word:
-    return Word(w.alphabet, tuple((i, -s) for i, s in reversed(w.letters)))
+    return Word(w.alphabet, tuple(_inv(w.letters)))
 
 
 def commutator(u: Word, v: Word) -> Word:
-    """The word u v u^-1 v^-1."""
-    return multiply(multiply(u, v), multiply(invert(u), invert(v)))
+    """The word u v u^-1 v^-1, freely reduced in one pass."""
+    if u.alphabet != v.alphabet:
+        raise AlphabetMismatch("cannot take a commutator of words over different alphabets")
+    letters = [*u.letters, *v.letters, *_inv(u.letters), *_inv(v.letters)]
+    return Word(u.alphabet, _free_reduce(letters))
 
 
 def cyclic_reduce(w: Word) -> Word:
-    """Strip mutually inverse first/last letters until none remain."""
-    letters = list(w.letters)
-    while len(letters) >= 2 and letters[0] == (letters[-1][0], -letters[-1][1]):
-        letters = letters[1:-1]
-    return Word(w.alphabet, tuple(letters))
-
-
-def exponent_sum(w: Word, g: Generator) -> int:
-    """Signed count of occurrences of g in w."""
-    try:
-        idx = w.alphabet.index(g)
-    except ValueError:
-        raise UnknownGenerator(g.name) from None
-    return sum(s for i, s in w.letters if i == idx)
+    """Strip mutually inverse first/last letters until none remain; the
+    cancelling pairs are counted first and cut off with one slice."""
+    letters = w.letters
+    k, last = 0, len(letters) - 1
+    while k < last - k and letters[k] == (letters[last - k][0], -letters[last - k][1]):
+        k += 1
+    return Word(w.alphabet, letters[k : len(letters) - k])
 
 
 def exponent_vector(w: Word) -> tuple[int, ...]:
@@ -198,6 +199,18 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # short input into a denial of service.  Far above any realistic relator.
 _MAX_PARSED_LETTERS = 1 << 18
 
+# Ceilings on the constructions a short input can blow up, each set so
+# that the largest input accepted runs in about 2 s at most in-process.
+# A witness's fiber genus is linear, and its commutator count quadratic,
+# in its generator count (free rank plus torsion factors); its torsion
+# relators t^d take _MAX_PARSED_LETTERS letters at most in all, so each
+# one still parses.  A fiber sum of base genus e adds 4 e f mixed
+# commutators on a genus-f fiber.  A fibration file's fiber_genus g
+# makes the monodromy 2g x 2g matrices.
+_MAX_WITNESS_GENERATORS = 256
+_MAX_BASE_GENUS = 1024
+_MAX_FIBER_GENUS = 512
+
 
 class _Parser:
     def __init__(self, text: str, alphabet: tuple[Generator, ...]):
@@ -224,6 +237,8 @@ class _Parser:
         letters = self.parse_factor()
         while True:
             kind, value, at = self.peek()
+            if len(letters) > _MAX_PARSED_LETTERS:
+                raise WordSyntaxError(at, "word expansion too large")
             if kind == "*":
                 self.pos += 1
                 letters += self.parse_factor()
@@ -273,10 +288,6 @@ class _Parser:
             self.pos += 1
         tok = self.take("number")
         return sign * int(tok[1])
-
-
-def _inv(letters: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    return [(i, -s) for i, s in reversed(letters)]
 
 
 def _power(letters: list[tuple[int, int]], n: int) -> list[tuple[int, int]]:

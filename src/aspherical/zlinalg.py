@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .word import exponent_sum
+from .word import exponent_vector
 
 if TYPE_CHECKING:
     from .fpgroup import GroupHom, Presentation
@@ -566,8 +566,6 @@ def abelianization(p: "Presentation") -> FgAbelian:
 
 def relator_matrix(p: "Presentation") -> IntMatrix:
     """Rows are relator exponent vectors, columns follow generator order."""
-    from .word import exponent_vector
-
     return IntMatrix.from_rows(
         [list(exponent_vector(r)) for r in p.relators], cols=len(p.generators)
     )
@@ -618,27 +616,23 @@ def exists_epimorphism(a: FgAbelian, b: FgAbelian) -> bool:
 def induced_matrix(f: "GroupHom") -> IntMatrix:
     """Abelianized homomorphism: entry (i, j) counts target generator i in
     the image of source generator j."""
-    tgt = f.target.generators
-    flat = []
-    for g in tgt:
-        flat.extend(exponent_sum(f.images[j], g) for j in range(len(f.images)))
-    return IntMatrix(len(tgt), len(f.images), tuple(flat))
+    columns = [exponent_vector(w) for w in f.images]
+    rows = len(f.target.generators)
+    return IntMatrix(rows, len(columns), tuple(c[i] for i in range(rows) for c in columns))
 
 
 def in_row_lattice(vector: Sequence[int], rows_matrix: IntMatrix) -> bool:
-    """Whether `vector` is an integer combination of the matrix rows."""
+    """Whether `vector` is an integer combination of the matrix rows.
+
+    Adding `vector` as a row maps the cokernel onto a quotient of itself.
+    Finitely generated abelian groups are Hopfian (a surjective
+    endomorphism is an isomorphism), so the two cokernels are equal
+    exactly when the map is injective, that is when `vector` already lies
+    in the row lattice.
+    """
     if len(vector) != rows_matrix.cols:
         raise DimensionMismatch(
             f"vector of length {len(vector)} against width {rows_matrix.cols}"
         )
-    snf = smith_normal_form(rows_matrix)
-    diag = snf.diagonal
-    for j in range(rows_matrix.cols):
-        wj = sum(vector[i] * snf.v.at(i, j) for i in range(rows_matrix.cols))
-        dj = diag[j] if j < len(diag) else 0
-        if dj == 0:
-            if wj:
-                return False
-        elif wj % dj:
-            return False
-    return True
+    extended = IntMatrix.from_rows(rows_matrix.to_rows() + [list(vector)], cols=rows_matrix.cols)
+    return cokernel(extended) == cokernel(rows_matrix)

@@ -22,7 +22,14 @@ Smith transforms must be unimodular), the symplectic gram matrix (twist
 matrices must preserve it) and a surjectivity test for abelianized maps
 (the construction chain must map onto its target).  The dense
 cokernel, read off the Smith form of the whole matrix, is the reference
-for the presolved one in `zlinalg`.
+for the presolved one in `zlinalg`, and lattice membership read off the
+columns of the Smith transform V is the reference for the cokernel
+comparison in `zlinalg.in_row_lattice`.
+
+The words that `word`, `fpgroup` and `fibersum` now lay out letter by
+letter are also made here in their old folded form: every product goes
+through `multiply`, so each intermediate word is reduced and validated,
+and the witness is rebuilt from those folds.
 """
 
 from __future__ import annotations
@@ -31,6 +38,15 @@ import math
 from dataclasses import dataclass
 from functools import cache
 
+from aspherical.fpgroup import GroupHom, Presentation
+from aspherical.word import (
+    Generator,
+    Word,
+    empty_word,
+    generator_word,
+    invert,
+    multiply,
+)
 from aspherical.zlinalg import (
     DimensionMismatch,
     FgAbelian,
@@ -518,3 +534,87 @@ def reference_group_homology_graded(orders, top: int) -> list[FgAbelian]:
     for n in orders:
         acc = reference_times_cyclic(acc, n)
     return acc
+
+
+# --- folded word construction ------------------------------------------------
+
+
+def reference_commutator(u: Word, v: Word) -> Word:
+    """u v u^-1 v^-1 as three products of validated words."""
+    return multiply(multiply(u, v), multiply(invert(u), invert(v)))
+
+
+def reference_surface_relator(gens: tuple[Generator, ...]) -> Word:
+    """[a_1,b_1]...[a_g,b_g], one product per commutator (quadratic in g)."""
+    w = empty_word(gens)
+    for i in range(0, len(gens), 2):
+        w = multiply(w, reference_commutator(generator_word(gens, i), generator_word(gens, i + 1)))
+    return w
+
+
+def reference_apply_hom(f: GroupHom, w: Word) -> Word:
+    """Substitute images one letter at a time, one product per letter."""
+    if w.alphabet != f.source.generators:
+        raise ValueError("word over a different alphabet than the source")
+    out = empty_word(f.target.generators)
+    for i, s in w.letters:
+        out = multiply(out, f.images[i] if s > 0 else invert(f.images[i]))
+    return out
+
+
+def reference_cyclic_reduce(w: Word) -> Word:
+    """Strip one cancelling end pair per step, copying the letters each time."""
+    letters = list(w.letters)
+    while len(letters) >= 2 and letters[0] == (letters[-1][0], -letters[-1][1]):
+        letters = letters[1:-1]
+    return Word(w.alphabet, tuple(letters))
+
+
+def reference_in_row_lattice(vector, rows_matrix: IntMatrix) -> bool:
+    """Membership from the Smith form D = U A V: v = x A has an integer
+    solution exactly when each coordinate of v V is divisible by the
+    matching diagonal entry (and is zero past the rank)."""
+    snf = smith_normal_form(rows_matrix)
+    diag = snf.diagonal
+    for j in range(rows_matrix.cols):
+        wj = sum(vector[i] * snf.v.at(i, j) for i in range(rows_matrix.cols))
+        dj = diag[j] if j < len(diag) else 0
+        if dj == 0:
+            if wj:
+                return False
+        elif wj % dj:
+            return False
+    return True
+
+
+def reference_witness(gamma: FgAbelian) -> Presentation:
+    """The witness of a group of free rank >= 4, relator for relator as
+    `fibersum.witness_presentation` builds it (genus-(2r+1) fibered
+    presentation summed with a genus-1 trivial bundle), made from the
+    folds above."""
+    m_prime = gamma.free_rank - 2
+    r = m_prime + len(gamma.torsion)
+    h = 2 * r
+    g = h + 1
+    fiber = tuple(Generator(f"{x}{i + 1}") for i in range(g) for x in ("a", "b"))
+    gens = fiber + (Generator("x1"), Generator("y1"))
+
+    def gen(i: int, sign: int = 1) -> Word:
+        return generator_word(gens, i, sign)
+
+    relators = [Word(gens, reference_surface_relator(fiber).letters)]
+    relators.append(multiply(empty_word(gens), reference_commutator(gen(2 * g), gen(2 * g + 1))))
+    for i in range(g):
+        for u in (2 * g, 2 * g + 1):
+            for k in (2 * i, 2 * i + 1):
+                relators.append(reference_commutator(gen(u), gen(k)))
+    relators += [gen(2 * i + 1) for i in range(h)]
+    relators += [gen(2 * j) for j in range(r, h)]
+    relators.append(multiply(gen(2 * h), gen(2 * (m_prime - 2), -1)))
+    relators.append(multiply(gen(2 * h + 1), gen(2 * (m_prime - 1), -1)))
+    for i in range(r):
+        for j in range(i + 1, r):
+            relators.append(reference_commutator(gen(2 * i), gen(2 * j)))
+    for t, d in enumerate(gamma.torsion):
+        relators.append(Word(gens, ((2 * (m_prime + t), 1),) * d))
+    return Presentation(gens, tuple(relators), label=f"witness {gamma.render()}")

@@ -7,6 +7,12 @@ import pytest
 
 from oracles import chain_relation
 from aspherical.cli import GroupSpecError, main, parse_group_spec
+from aspherical.word import (
+    _MAX_BASE_GENUS,
+    _MAX_FIBER_GENUS,
+    _MAX_PARSED_LETTERS,
+    _MAX_WITNESS_GENERATORS,
+)
 from aspherical.zlinalg import FgAbelian
 
 
@@ -264,6 +270,35 @@ def test_fibersum_rejects_bad_shapes(capsys, tmp_path):
     g = tmp_path / "x.txt"
     g.write_text("group x\ngens a1 b1\nrel [a1,b1]\n")
     assert run(capsys, "fibersum", str(g), "-e", "0")[0] == 3
+
+
+def test_constructions_over_their_limits_exit_2_before_any_work(capsys, tmp_path):
+    # Each input is one step over its limit; an unchecked build would
+    # exit 0 after running for seconds.
+    over = {
+        f"Z^{_MAX_WITNESS_GENERATORS - 1}+Z/2+Z/2": f"limit of {_MAX_WITNESS_GENERATORS}",
+        f"Z^4+Z/{_MAX_PARSED_LETTERS + 1}": f"limit of {_MAX_PARSED_LETTERS}",
+        # Each factor fits; together they take two letters too many.
+        f"Z^4+Z/2+Z/{_MAX_PARSED_LETTERS // 2}+Z/{_MAX_PARSED_LETTERS // 2}": "letters",
+    }
+    for spec, message in over.items():
+        code, out, err = run(capsys, "witness", spec)
+        assert (code, out) == (2, ""), spec
+        assert message in err, spec
+    # The verdict comes first: a group with no witness still exits 3.
+    assert run(capsys, "witness", f"Z+Z/{_MAX_PARSED_LETTERS + 1}")[0] == 3
+
+    fibered = tmp_path / "x.txt"
+    fibered.write_text("group x\ngens a1 b1\nrel [a1,b1]\n")
+    code, out, err = run(capsys, "fibersum", str(fibered), "-e", str(_MAX_BASE_GENUS + 1))
+    assert (code, out) == (2, "")
+    assert f"limit of {_MAX_BASE_GENUS}" in err
+
+    fibration = tmp_path / "fib.txt"
+    fibration.write_text(f"fibration big\nfiber_genus {_MAX_FIBER_GENUS + 1}\ncycle + a1\n")
+    code, out, err = run(capsys, "fibration", str(fibration))
+    assert (code, out) == (2, "")
+    assert f"limit of {_MAX_FIBER_GENUS}" in err
 
 
 def test_usage_error_exits_2():

@@ -107,6 +107,9 @@ def test_word_parser_caps_runaway_expansion():
         doubling = f"[{doubling},{doubling}]"
     with pytest.raises(WordSyntaxError):
         parse_word(doubling, alphabet)
+    # factors that each fit must not add up past the cap either
+    with pytest.raises(WordSyntaxError):
+        parse_word("a1^262144 b1^262144 " * 4, alphabet)
     # a large but sane power still parses
     assert len(parse_word("a1^4096", alphabet)) == 4096
 
