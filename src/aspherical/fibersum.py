@@ -23,6 +23,7 @@ from .fpgroup import (
 )
 from .word import (
     _MAX_BASE_GENUS,
+    _MAX_GENUS_PRODUCT,
     _MAX_PARSED_LETTERS,
     _MAX_WITNESS_GENERATORS,
     Generator,
@@ -57,13 +58,13 @@ class SurfaceFiberedPresentation:
     presentation: Presentation
 
     def __post_init__(self):
-        expected = surface_group(self.fiber_genus)
-        if self.presentation.generators != expected.generators:
+        p, g = self.presentation, self.fiber_genus
+        names = [f"{c}{i + 1}" for i in range(g) for c in ("a", "b")]
+        if g < 0 or [x.name for x in p.generators] != names:
             raise NotSurfaceFibered(
-                f"generators must be exactly those of the genus-{self.fiber_genus} "
-                "surface group, in order"
+                f"generators must be exactly those of the genus-{g} surface group, in order"
             )
-        if not self.presentation.relators or self.presentation.relators[0] != expected.relators[0]:
+        if not p.relators or p.relators[0] != surface_relator(p.generators):
             raise NotSurfaceFibered("first relator must be the surface relator")
 
     @property
@@ -84,6 +85,10 @@ def fiber_sum_with_trivial_bundle(x: SurfaceFiberedPresentation, e: int) -> Pres
     if e > _MAX_BASE_GENUS:
         raise ValueError(f"base genus {e} exceeds the limit of {_MAX_BASE_GENUS}")
     f = x.fiber_genus
+    if e * f > _MAX_GENUS_PRODUCT:
+        raise ValueError(
+            f"base genus {e} times fiber genus {f} exceeds the limit of {_MAX_GENUS_PRODUCT}"
+        )
     fiber_gens = x.presentation.generators
     base_gens = tuple(
         Generator(f"{letter}{j + 1}") for j in range(e) for letter in ("x", "y")

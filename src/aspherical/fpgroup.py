@@ -65,7 +65,7 @@ class Presentation:
         if self.label is not None and "\n" in self.label:
             raise ValueError("label must be a single line")
         for r in self.relators:
-            if r.alphabet != self.generators:
+            if r.alphabet is not self.generators and r.alphabet != self.generators:
                 raise ValueError("relator over a different alphabet")
             if r.letters and r.letters[0] == (r.letters[-1][0], -r.letters[-1][1]):
                 raise ValueError(f"relator {render_word(r)!r} is not cyclically reduced")

@@ -122,7 +122,7 @@ def invert(w: Word) -> Word:
 
 def commutator(u: Word, v: Word) -> Word:
     """The word u v u^-1 v^-1, freely reduced in one pass."""
-    if u.alphabet != v.alphabet:
+    if u.alphabet is not v.alphabet and u.alphabet != v.alphabet:
         raise AlphabetMismatch("cannot take a commutator of words over different alphabets")
     letters = [*u.letters, *v.letters, *_inv(u.letters), *_inv(v.letters)]
     return Word(u.alphabet, _free_reduce(letters))
@@ -205,10 +205,11 @@ _MAX_PARSED_LETTERS = 1 << 18
 # in its generator count (free rank plus torsion factors); its torsion
 # relators t^d take _MAX_PARSED_LETTERS letters at most in all, so each
 # one still parses.  A fiber sum of base genus e adds 4 e f mixed
-# commutators on a genus-f fiber.  A fibration file's fiber_genus g
-# makes the monodromy 2g x 2g matrices.
+# commutators on a genus-f fiber, so e f is capped as well as e.  A
+# fibration file's fiber_genus g makes the monodromy 2g x 2g matrices.
 _MAX_WITNESS_GENERATORS = 256
 _MAX_BASE_GENUS = 1024
+_MAX_GENUS_PRODUCT = 1 << 14
 _MAX_FIBER_GENUS = 512
 
 

@@ -6,12 +6,15 @@ epimorphism test between finitely generated abelian groups.  All
 arithmetic is exact Python int arithmetic (intermediate Smith entries
 can grow well past machine words).
 
-`IntMatrix` is immutable and dense, and `smith_normal_form` works on it
-with a pinned pivot rule.  A cokernel does not start there: its rows are
-kept sparse and presolved (zero and repeated rows dropped, +-1 pivots
-eliminated), and only the small core left is put through the Smith
-form.  Relator lattices, which are mostly zero, repeated or unit rows,
-are abelianized that way straight from the relator words.
+`IntMatrix` is immutable and dense.  `smith_normal_form` runs one loop
+under a pinned pivot rule and multiplies its logged operations out from
+the last step back (as LAPACK forms Q from Householder reflectors): the
+forward product exactly, but each step stays in its trailing block.  A
+cokernel carries no transforms: its rows are kept sparse and presolved
+(zero and repeated rows dropped, +-1 pivots eliminated), and only the
+small core left goes through the loop.  Relator lattices, which are
+mostly zero, repeated or unit rows, are abelianized that way straight
+from the relator words.
 """
 
 from __future__ import annotations
@@ -157,88 +160,87 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Diagonalize by unimodular row/column operations.
 
     The pivot rule (smallest absolute value, lowest position on ties) makes
-    the sequence of operations, and hence u and v, deterministic.
+    the operations, and hence u and v, deterministic.  `_replay` multiplies
+    `_eliminate`'s log of them out from the last back: the same product as
+    carrying u and v forward through every operation, entry for entry.
     """
-    rows, cols = a.rows, a.cols
     d = a.to_rows()
-    u = IntMatrix.identity(rows).to_rows()
-    v = IntMatrix.identity(cols).to_rows()
-    k = 0
-    while k < rows and k < cols:
-        piv = _pivot(d, k, rows, cols)
-        if piv is None:
-            break
-        _swap_to(d, u, v, k, piv)
-        while True:
-            dirty = False
-            for i in range(k + 1, rows):
-                if d[i][k]:
-                    q = d[i][k] // d[k][k]
-                    if q:
-                        _row_sub(d, i, k, q)
-                        _row_sub(u, i, k, q)
-                    if d[i][k]:
-                        dirty = True
-            for j in range(k + 1, cols):
-                if d[k][j]:
-                    q = d[k][j] // d[k][k]
-                    if q:
-                        _col_sub(d, j, k, q)
-                        _col_sub(v, j, k, q)
-                    if d[k][j]:
-                        dirty = True
-            if dirty:
-                _swap_to(d, u, v, k, _pivot(d, k, rows, cols))
-                continue
-            bad = _nondivisible(d, k, rows, cols)
-            if bad is None:
-                break
-            # Fold the offending row into row k so the pivot can shrink to
-            # the gcd on the next sweep.
-            _row_add(d, k, bad[0])
-            _row_add(u, k, bad[0])
-        if d[k][k] < 0:
-            _negate_row(d, k)
-            _negate_row(u, k)
-        k += 1
+    steps = _eliminate(d, a.rows, a.cols)
+    u = _replay(a.rows, [ops for ops, _ in steps])
     return SmithDecomposition(
-        IntMatrix.from_rows(d, cols=cols),
-        IntMatrix.from_rows(u, cols=rows),
-        IntMatrix.from_rows(v, cols=cols),
+        IntMatrix.from_rows(d, cols=a.cols),
+        IntMatrix.from_rows(list(zip(*u)), cols=a.rows),
+        IntMatrix.from_rows(_replay(a.cols, [ops for _, ops in steps]), cols=a.cols),
     )
 
 
-def _swap_to(d, u, v, k, piv):
-    i, j = piv
-    if i != k:
-        d[k], d[i] = d[i], d[k]
-        u[k], u[i] = u[i], u[k]
-    if j != k:
-        for row in d:
-            row[k], row[j] = row[j], row[k]
-        for row in v:
-            row[k], row[j] = row[j], row[k]
+def _eliminate(d: list[list[int]], rows: int, cols: int) -> list[tuple[list[int], list[int]]]:
+    """Bring d to Smith form in place; return each step's row and column
+    operations, triples (a, b, q) for line a -= q * line b (a swap if
+    q == 0; row i folded into row k is (k, i, -1), row k negated (k, k, 2)).
+    Step k touches only rows and columns >= k: the rest of them is zero."""
+    steps = []
+    for k in range(min(rows, cols)):
+        piv = _pivot(d, k, rows, cols)
+        if piv is None:
+            break
+        row_ops, col_ops = [], []
+        while True:
+            i, j = piv
+            if i != k:
+                d[k], d[i] = d[i], d[k]
+                row_ops += (k, i, 0)
+            if j != k:
+                for dr in d[k:]:
+                    dr[k], dr[j] = dr[j], dr[k]
+                col_ops += (k, j, 0)
+            dk, dirty = d[k], False
+            for i in range(k + 1, rows):
+                di = d[i]
+                q = di[k] // dk[k]
+                if q:
+                    for c in range(k, cols):
+                        di[c] -= q * dk[c]
+                    row_ops += (i, k, q)
+                dirty = dirty or di[k] != 0
+            for j in range(k + 1, cols):
+                q = dk[j] // dk[k]
+                if q:
+                    for dr in d[k:]:
+                        dr[j] -= q * dr[k]
+                    col_ops += (j, k, q)
+                dirty = dirty or dk[j] != 0
+            if dirty:
+                piv = _pivot(d, k, rows, cols)
+            elif (bad := _nondivisible(d, k, rows, cols)) is None:
+                break
+            else:  # fold the offending row into row k: the pivot shrinks to the gcd
+                for c in range(k, cols):
+                    dk[c] += d[bad[0]][c]
+                row_ops += (k, bad[0], -1)
+                piv = (k, k)
+        if dk[k] < 0:
+            dk[k] = -dk[k]
+            row_ops += (k, k, 2)
+        steps.append((row_ops, col_ops))
+    return steps
 
 
-def _row_sub(m, i, k, q):
-    mi, mk = m[i], m[k]
-    for j in range(len(mi)):
-        mi[j] -= q * mk[j]
-
-
-def _row_add(m, k, i):
-    mk, mi = m[k], m[i]
-    for j in range(len(mk)):
-        mk[j] += mi[j]
-
-
-def _col_sub(m, j, k, q):
-    for row in m:
-        row[j] -= q * row[k]
-
-
-def _negate_row(m, k):
-    m[k] = [-x for x in m[k]]
+def _replay(n: int, logs: list[list[int]]) -> list[list[int]]:
+    """Multiply logged operations out from the last step back, as u^T =
+    E_1^T (... (E_N^T I)) for row operations E_i or v = F_1 (... (F_N I))
+    for column operations F_i; both act as row b -= q * row a.  Steps after
+    k touch lines > k only: step k meets the identity outside lines >= k."""
+    t = [[0] * r + [1] + [0] * (n - 1 - r) for r in range(n)]
+    for k in range(len(logs) - 1, -1, -1):
+        for q, b, a in zip(*[reversed(logs[k])] * 3):  # the triples, last first
+            if q:
+                ta, tb = t[a], t[b]
+                for c in range(k, n):
+                    tb[c] -= q * ta[c]
+            else:
+                t[a], t[b] = t[b], t[a]
+    return t
 
 
 def _nondivisible(m, k, rows, cols) -> tuple[int, int] | None:
@@ -455,8 +457,9 @@ def cokernel(a: IntMatrix | Iterable[Mapping[int, int]], cols: int | None = None
 
     `a` is a matrix, or its rows as sparse {column: entry} maps over
     `cols` columns.  The rows are presolved (`_presolve`) before any
-    dense work; only the core left goes through `smith_normal_form`, and
-    the columns that no row of the core touches are free.
+    dense work.  The core left goes through `smith_normal_form`'s loop
+    alone, whose pivots are the diagonal: no U or V is built.  The
+    columns that no row of the core touches are free.
 
     >>> print(cokernel([{0: 2}, {0: -2}, {}, {1: 1, 2: 3}], cols=3).render())
     Z + Z/2
@@ -470,12 +473,9 @@ def cokernel(a: IntMatrix | Iterable[Mapping[int, int]], cols: int | None = None
         rows, eliminated = _presolve(a)
     touched = sorted({j for row in rows for j in row})
     free = cols - eliminated - len(touched)
-    if not rows:
-        return FgAbelian(free)
-    core = smith_normal_form(
-        IntMatrix.from_rows([[row.get(j, 0) for j in touched] for row in rows], cols=len(touched))
-    ).cokernel
-    return FgAbelian(core.free_rank + free, core.torsion)
+    core = [[row.get(j, 0) for j in touched] for row in rows]
+    pivots = [core[k][k] for k in range(len(_eliminate(core, len(core), len(touched))))]
+    return FgAbelian(free + len(touched) - len(pivots), tuple(x for x in pivots if x > 1))
 
 
 def _distinct_rows(rows: Iterable[Mapping[int, int]]) -> list[dict[int, int]]:

@@ -20,9 +20,12 @@ Three deliberately separate computation paths live here:
 Three matrix certificates sit beside them: an exact determinant (the
 Smith transforms must be unimodular), the symplectic gram matrix (twist
 matrices must preserve it) and a surjectivity test for abelianized maps
-(the construction chain must map onto its target).  The dense
-cokernel, read off the Smith form of the whole matrix, is the reference
-for the presolved one in `zlinalg`, and lattice membership read off the
+(the construction chain must map onto its target).  The Smith form
+that carries U and V forward through every operation, with its own copy
+of the pinned pivot rule, is the reference for the one in `zlinalg`,
+which replays them backward.  The dense cokernel, read off that Smith
+form of the whole matrix, is the reference for the presolved,
+transform-free one in `zlinalg`, and lattice membership read off the
 columns of the Smith transform V is the reference for the cokernel
 comparison in `zlinalg.in_row_lattice`.
 
@@ -51,6 +54,7 @@ from aspherical.zlinalg import (
     DimensionMismatch,
     FgAbelian,
     IntMatrix,
+    SmithDecomposition,
     cokernel,
     smith_normal_form,
 )
@@ -200,12 +204,140 @@ def symplectic_gram(g: int) -> IntMatrix:
     return IntMatrix.from_rows(rows, cols=n)
 
 
+def reference_smith_normal_form(a: IntMatrix) -> SmithDecomposition:
+    """The Smith form under the pinned pivot rule, with U and V carried
+    forward: every row operation is applied to the whole of D and U, and
+    every column operation to the whole of D and V, as it happens."""
+    rows, cols = a.rows, a.cols
+    d = a.to_rows()
+    u = IntMatrix.identity(rows).to_rows()
+    v = IntMatrix.identity(cols).to_rows()
+    k = 0
+    while k < rows and k < cols:
+        piv = _pivot(d, k, rows, cols)
+        if piv is None:
+            break
+        _swap_to(d, u, v, k, piv)
+        while True:
+            dirty = False
+            for i in range(k + 1, rows):
+                if d[i][k]:
+                    q = d[i][k] // d[k][k]
+                    if q:
+                        _row_sub(d, i, k, q)
+                        _row_sub(u, i, k, q)
+                    if d[i][k]:
+                        dirty = True
+            for j in range(k + 1, cols):
+                if d[k][j]:
+                    q = d[k][j] // d[k][k]
+                    if q:
+                        _col_sub(d, j, k, q)
+                        _col_sub(v, j, k, q)
+                    if d[k][j]:
+                        dirty = True
+            if dirty:
+                _swap_to(d, u, v, k, _pivot(d, k, rows, cols))
+                continue
+            bad = _nondivisible(d, k, rows, cols)
+            if bad is None:
+                break
+            _row_add(d, k, bad[0])
+            _row_add(u, k, bad[0])
+        if d[k][k] < 0:
+            _negate_row(d, k)
+            _negate_row(u, k)
+        k += 1
+    return SmithDecomposition(
+        IntMatrix.from_rows(d, cols=cols),
+        IntMatrix.from_rows(u, cols=rows),
+        IntMatrix.from_rows(v, cols=cols),
+    )
+
+
+def _swap_to(d, u, v, k, piv):
+    i, j = piv
+    if i != k:
+        d[k], d[i] = d[i], d[k]
+        u[k], u[i] = u[i], u[k]
+    if j != k:
+        for row in d:
+            row[k], row[j] = row[j], row[k]
+        for row in v:
+            row[k], row[j] = row[j], row[k]
+
+
+def _row_sub(m, i, k, q):
+    mi, mk = m[i], m[k]
+    for j in range(len(mi)):
+        mi[j] -= q * mk[j]
+
+
+def _row_add(m, k, i):
+    mk, mi = m[k], m[i]
+    for j in range(len(mk)):
+        mk[j] += mi[j]
+
+
+def _col_sub(m, j, k, q):
+    for row in m:
+        row[j] -= q * row[k]
+
+
+def _negate_row(m, k):
+    m[k] = [-x for x in m[k]]
+
+
+def _pivot(m, k, rows, cols):
+    # Smallest nonzero absolute value; ties broken by lowest (row, col).
+    best = None
+    best_abs = None
+    for i in range(k, rows):
+        for j in range(k, cols):
+            x = m[i][j]
+            if x and (best_abs is None or abs(x) < best_abs):
+                best, best_abs = (i, j), abs(x)
+    return best
+
+
+def _nondivisible(m, k, rows, cols):
+    p = m[k][k]
+    for i in range(k + 1, rows):
+        for j in range(k + 1, cols):
+            if m[i][j] % p:
+                return (i, j)
+    return None
+
+
 def reference_cokernel(a: IntMatrix) -> FgAbelian:
     """Z^cols modulo the row lattice of `a`, from the dense Smith form of
     the whole matrix, with no presolve."""
-    diag = smith_normal_form(a).diagonal
+    diag = reference_smith_normal_form(a).diagonal
     nonzero = [x for x in diag if x]
     return FgAbelian(a.cols - len(nonzero), tuple(x for x in nonzero if x > 1))
+
+
+def sparse_rows(a: IntMatrix) -> list[dict[int, int]]:
+    """The rows of `a` as {column: entry} maps, the other input form of
+    `zlinalg.cokernel`."""
+    return [{j: x for j, x in enumerate(a.row(i)) if x} for i in range(a.rows)]
+
+
+def sympy_cokernel(a: IntMatrix) -> FgAbelian:
+    """Z^cols modulo the row lattice of `a`, from sympy's invariant factors
+    (the calling test is skipped where sympy is missing).  pytest is
+    imported here, not at the top: `perfbench/checks.py` imports this
+    module outside any test run."""
+    import pytest
+
+    ZZ = pytest.importorskip("sympy").ZZ
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.matrices.normalforms import invariant_factors
+
+    if not a.rows or not a.cols:
+        return FgAbelian(a.cols)
+    factors = [abs(int(f)) for f in invariant_factors(DomainMatrix(a.to_rows(), (a.rows, a.cols), ZZ)) if f]
+    return FgAbelian.from_cyclic_orders([0] * (a.cols - len(factors)) + factors)
 
 
 def chain_relation(g: int) -> str:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 import time
 
 import pytest
@@ -10,6 +11,7 @@ from aspherical.cli import GroupSpecError, main, parse_group_spec
 from aspherical.word import (
     _MAX_BASE_GENUS,
     _MAX_FIBER_GENUS,
+    _MAX_GENUS_PRODUCT,
     _MAX_PARSED_LETTERS,
     _MAX_WITNESS_GENERATORS,
 )
@@ -293,12 +295,47 @@ def test_constructions_over_their_limits_exit_2_before_any_work(capsys, tmp_path
     code, out, err = run(capsys, "fibersum", str(fibered), "-e", str(_MAX_BASE_GENUS + 1))
     assert (code, out) == (2, "")
     assert f"limit of {_MAX_BASE_GENUS}" in err
+    # Base genus times fiber genus one over its limit, each factor under its own.
+    f, e = 29, 565
+    assert f * e == _MAX_GENUS_PRODUCT + 1 and e <= _MAX_BASE_GENUS
+    fibered.write_text(_surface_file(f))
+    code, out, err = run(capsys, "fibersum", str(fibered), "-e", str(e))
+    assert (code, out) == (2, "")
+    assert f"limit of {_MAX_GENUS_PRODUCT}" in err
 
     fibration = tmp_path / "fib.txt"
     fibration.write_text(f"fibration big\nfiber_genus {_MAX_FIBER_GENUS + 1}\ncycle + a1\n")
     code, out, err = run(capsys, "fibration", str(fibration))
     assert (code, out) == (2, "")
     assert f"limit of {_MAX_FIBER_GENUS}" in err
+
+
+def _surface_file(g, extra_relators=()):
+    """A fibered presentation file: the genus-g surface generators and
+    relator, then the given relators."""
+    gens = " ".join(f"{x}{i}" for i in range(1, g + 1) for x in "ab")
+    surface = " ".join(f"[a{i},b{i}]" for i in range(1, g + 1))
+    return f"group x\ngens {gens}\nrel {surface}\n" + "".join(f"rel {r}\n" for r in extra_relators)
+
+
+def test_fibersum_of_a_dense_60_generator_file_in_bounded_time(capsys, tmp_path):
+    # Both abelianizations leave a dense core with no unit pivots; with
+    # U and V carried through the Smith form this took 2.8-3.3 s.
+    rng = random.Random(4403)
+    gens = [f"{x}{i}" for i in range(1, 31) for x in "ab"]
+    dense = [
+        " ".join(f"{x}^{e}" for x in gens for e in [rng.randint(-9, 9)] if e) for _ in range(60)
+    ]
+    path = tmp_path / "dense.txt"
+    path.write_text(_surface_file(30, dense))
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "fibersum", str(path), "-e", "1")
+        times.append(time.perf_counter() - start)
+    assert min(times) < 1.5
+    assert code == 0
+    assert "abelianization_check: PASS" in out
 
 
 def test_usage_error_exits_2():
@@ -355,12 +392,37 @@ def test_golden_stdout(capsys, argv, code, text_sha, json_sha):
 
 _MATRIX_4X4 = "2 4 4 -6\n-6 6 12 10\n10 -4 -16 8\n3 0 7 -5\n"
 
+
+def _dense_matrix_text(seed, rows, cols, rank=None):
+    """Entries in [-9, 9]; with a rank, the rows past it are each a row
+    before it minus twice another."""
+    rng = random.Random(seed)
+    body = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rank or rows)]
+    while len(body) < rows:
+        a, b = rng.sample(body[:rank], 2)
+        body.append([x - 2 * y for x, y in zip(a, b)])
+    return "".join(" ".join(map(str, r)) + "\n" for r in body)
+
+
+_DENSE_MATRICES = {
+    "dense14.txt": (4404, 14, 14),
+    "wide.txt": (4405, 12, 30),
+    "tall.txt": (4406, 30, 12),
+    "rankdef.txt": (4407, 10, 10, 6),
+}
+
 # (test id, argv, ...) and otherwise the layout of _GOLDEN, for commands
 # that read a file: `fib.txt` and `fib6.txt` hold the chain relation on
-# the genus-1 and genus-6 fiber, and `pi1.txt` and `pi1_6.txt` the
-# pi1_presentation each prints.
+# the genus-1 and genus-6 fiber, `pi1.txt` and `pi1_6.txt` the
+# pi1_presentation each prints, and the `_DENSE_MATRICES` files their
+# dense matrices.  The dense `snf` digests were recorded from the Smith
+# form that carried U and V forward through every operation.
 _GOLDEN_FILES = [
     ("snf", ("snf", "m.txt"), 0, "5b1dbdb76e207caf99157e171ccaeadd6e0dbe83c9c781097f6e181f791cad9b", "8f42b32aeaadc8044f83ccb705bcbdba0aebbdf594a3dd9855846dae835ac415"),
+    ("snf dense 14x14", ("snf", "dense14.txt"), 0, "659e9164baf0db6163b81f911edbf8f7b08a928424bd0d169ba232edb07e9bfa", "ae31691cc8f21945fda0ffddf8fcdca067158a5c5e267bb8884bcd6e5d4da964"),
+    ("snf dense 12x30", ("snf", "wide.txt"), 0, "bb09ddc5eda6b904c36877442a2f68e488bcefd9bba21a9f1afe249fec8fbaee", "a8c912655aaf46c873a8cca766c62b9576805d64a2cf88fa99d49e705625b6f5"),
+    ("snf dense 30x12", ("snf", "tall.txt"), 0, "b7d12367895b45e78a4b1354f93dec8deb44baffff2d220df59eee5c44ece487", "b050164b52f96cf8fa9857398729648cdc16db2bb134c9e0ffee6589c76667a7"),
+    ("snf rank 6 10x10", ("snf", "rankdef.txt"), 0, "15873b52cbf9bcbd617b202af32f2a48c04824f43a49eb2f4c2a13699987c633", "2c8edbcf9556246a8b8d29ddbf2593229fede71d48162a98830c6f2a2434347c"),
     ("fibration", ("fibration", "fib.txt"), 0, "1ced22b1b93cd35a6a15e25f1b0d4fb14f767479c4b1d4a38bb617afca545c24", "f899e1a5254b8133d5af7c3d7f8468a269e05bc187c33736917e31c07870372e"),
     ("fibersum", ("fibersum", "pi1.txt", "-e", "2"), 0, "298da50736c593d425e5dee720fdaa6a9c890055b01f1085bc43c0c46e7e3c2b", "01ac6a38b0f1dfb0e1abe2a7585d881a600110983edf41e8b0f3132334266aec"),
     ("fibration genus 6", ("fibration", "fib6.txt"), 0, "d7b3a67e804ed628f4d74be4ebec3746f643a06a57e0ea80b9d8999a04847c71", "3452b07234bc532620570f8ddd01a51a3d13c03fc32e3b6e776f0f57ee6fdd59"),
@@ -375,6 +437,8 @@ _GOLDEN_FILES = [
 )
 def test_golden_stdout_from_files(capsys, tmp_path, argv, code, text_sha, json_sha):
     (tmp_path / "m.txt").write_text(_MATRIX_4X4)
+    for name, args in _DENSE_MATRICES.items():
+        (tmp_path / name).write_text(_dense_matrix_text(*args))
     for fib, pi1, g in (("fib.txt", "pi1.txt", 1), ("fib6.txt", "pi1_6.txt", 6)):
         (tmp_path / fib).write_text(chain_relation(g))
         _, out, _ = run(capsys, "--format", "json", "fibration", str(tmp_path / fib))
