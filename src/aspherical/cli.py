@@ -156,8 +156,8 @@ def cmd_fibration(args: argparse.Namespace) -> int:
         print(f"error: no such file: {path}", file=sys.stderr)
         return EXIT_USAGE
     m, label = lefschetz.parse_factorization(path.read_text())
-    p = lefschetz.total_space_pi1(m)
     trivial = lefschetz.homology_trivial(m)
+    p = lefschetz.total_space_pi1(m, trivial)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "fibration",

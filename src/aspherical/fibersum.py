@@ -28,7 +28,6 @@ from .word import (
     _MAX_WITNESS_GENERATORS,
     Generator,
     Word,
-    commutator,
     generator_word,
 )
 from .zlinalg import FgAbelian
@@ -72,13 +71,16 @@ class SurfaceFiberedPresentation:
         return self.presentation.relators[1:]
 
 
-def fiber_sum_with_trivial_bundle(x: SurfaceFiberedPresentation, e: int) -> Presentation:
-    """Presentation of the fiber sum with Sigma_e x F.
+def fiber_sum_with_trivial_bundle(
+    x: SurfaceFiberedPresentation, e: int, label: str | None = None
+) -> Presentation:
+    """Presentation of the fiber sum with Sigma_e x F, labelled `label`.
 
     Generators: the fiber's a_i, b_i followed by base generators
     x_1,y_1,...,x_e,y_e.  Relators: both surface relators, the mixed
     commutators [x_j,a_i], [x_j,b_i], [y_j,a_i], [y_j,b_i], then the
-    extra relators of x.  The abelianization is always ab(x) + Z^{2e}.
+    extra relators of x; a relator of x that repeats as one object stays
+    one object.  The abelianization is always ab(x) + Z^{2e}.
     """
     if e < 1:
         raise InvalidGenus(f"base genus must be at least 1, got {e}")
@@ -95,18 +97,16 @@ def fiber_sum_with_trivial_bundle(x: SurfaceFiberedPresentation, e: int) -> Pres
     )
     gens = fiber_gens + base_gens
 
-    def fiber_word(w: Word) -> Word:
-        return Word(gens, w.letters)
-
-    gen_words = [generator_word(gens, k) for k in range(len(gens))]
-    relators = [fiber_word(x.presentation.relators[0]), surface_relator(gens, 2 * f)]
+    fiber_relators = {id(w): w for w in x.presentation.relators}
+    rebound = {k: Word(gens, w.letters) for k, w in fiber_relators.items()}
+    relators = [rebound[id(x.presentation.relators[0])], surface_relator(gens, 2 * f)]
     for j in range(e):
         for i in range(f):
-            for u_idx in (2 * f + 2 * j, 2 * f + 2 * j + 1):
-                for g_idx in (2 * i, 2 * i + 1):
-                    relators.append(commutator(gen_words[u_idx], gen_words[g_idx]))
-    relators.extend(fiber_word(r) for r in x.extra_relators)
-    return Presentation(gens, tuple(relators))
+            for u in (2 * f + 2 * j, 2 * f + 2 * j + 1):
+                for g in (2 * i, 2 * i + 1):
+                    relators.append(Word(gens, ((u, 1), (g, 1), (u, -1), (g, -1))))
+    relators.extend(rebound[id(r)] for r in x.extra_relators)
+    return Presentation(gens, tuple(relators), label=label)
 
 
 def presentation_chain_for(gamma: FgAbelian) -> tuple[GroupHom, int]:
@@ -154,9 +154,10 @@ def witness_presentation(gamma: FgAbelian) -> Presentation:
     Everything else is rejected.
     """
     m = gamma.free_rank
+    label = f"witness {gamma.render()}"
     if gamma == FgAbelian(2):
-        p = surface_group(1)
-        return Presentation(p.generators, p.relators, label=f"witness {gamma.render()}")
+        gens = surface_group(1).generators
+        return Presentation(gens, (surface_relator(gens),), label=label)
     if m < 2:
         reason = "free rank 0 or 1"
     elif m == 2:
@@ -184,7 +185,6 @@ def witness_presentation(gamma: FgAbelian) -> Presentation:
     h = 2 * r
     g = h + 1
     gens = surface_group(g).generators
-    gen_words = [generator_word(gens, k) for k in range(len(gens))]
 
     # Normal generators of the chain's kernel: the killed generators, the
     # identification of the torus pair a_g, b_g with the two surface
@@ -192,14 +192,14 @@ def witness_presentation(gamma: FgAbelian) -> Presentation:
     # the survivors commute, and the torsion powers.
     relators: list[Word] = []
     for i in range(h):
-        relators.append(gen_words[2 * i + 1])  # b_{i+1}
+        relators.append(Word(gens, ((2 * i + 1, 1),)))  # b_{i+1}
     for j in range(r, h):
-        relators.append(gen_words[2 * j])  # a_{j+1} beyond the generator range
+        relators.append(Word(gens, ((2 * j, 1),)))  # a_{j+1} beyond the generator range
     relators.append(Word(gens, ((2 * h, 1), (2 * (m_prime - 2), -1))))
     relators.append(Word(gens, ((2 * h + 1, 1), (2 * (m_prime - 1), -1))))
     for i in range(r):
         for j in range(i + 1, r):
-            relators.append(commutator(gen_words[2 * i], gen_words[2 * j]))
+            relators.append(Word(gens, ((2 * i, 1), (2 * j, 1), (2 * i, -1), (2 * j, -1))))
     for t, dt in enumerate(a.torsion):
         relators.append(Word(gens, ((2 * (m_prime + t), 1),) * dt))
 
@@ -207,5 +207,4 @@ def witness_presentation(gamma: FgAbelian) -> Presentation:
         g,
         Presentation(gens, (surface_relator(gens),) + tuple(relators)),
     )
-    result = fiber_sum_with_trivial_bundle(fibered, 1)
-    return Presentation(result.generators, result.relators, label=f"witness {gamma.render()}")
+    return fiber_sum_with_trivial_bundle(fibered, 1, label)

@@ -24,7 +24,6 @@ from .word import (
     Word,
     _free_reduce,
     _inv,
-    commutator,
     cyclic_reduce,
     exponent_vector,
     generator_word,
@@ -191,7 +190,7 @@ def quotient_by_normal_closure(p: Presentation, ws: list[Word]) -> Presentation:
     """Extend p's relators by the cyclically reduced words ws."""
     extra = []
     for w in ws:
-        if w.alphabet != p.generators:
+        if w.alphabet is not p.generators and w.alphabet != p.generators:
             names = {g.name for g in p.generators}
             for g in w.alphabet:
                 if g.name not in names:
@@ -211,7 +210,7 @@ def abelian_presentation(g: FgAbelian) -> Presentation:
         Generator(f"t{i + 1}") for i in range(len(g.torsion))
     )
     relators = [
-        commutator(generator_word(gens, i), generator_word(gens, j))
+        Word(gens, ((i, 1), (j, 1), (i, -1), (j, -1)))
         for i in range(len(gens))
         for j in range(i + 1, len(gens))
     ]
@@ -238,18 +237,25 @@ def pinch_presentation_map(g1: int, g2: int) -> GroupHom:
 
 
 def render_presentation(p: Presentation) -> str:
-    """group/gens/rel lines; generators and relators in declared order."""
+    """group/gens/rel lines; generators and relators in declared order.
+    A relator object that repeats is rendered once."""
     lines = [f"group {p.label}" if p.label else "group"]
     names = " ".join(g.name for g in p.generators)
     lines.append(f"gens {names}" if names else "gens")
-    lines.extend(f"rel {render_word(r)}" for r in p.relators)
+    rendered: dict[int, str] = {}
+    for r in p.relators:
+        if id(r) not in rendered:
+            rendered[id(r)] = f"rel {render_word(r)}"
+        lines.append(rendered[id(r)])
     return "\n".join(lines) + "\n"
 
 
 def parse_presentation(text: str) -> Presentation:
+    """Parse group/gens/rel text; a repeated relator text is parsed once."""
     label: str | None = None
     gens: tuple[Generator, ...] | None = None
     relators: list[Word] = []
+    parsed: dict[str, Word] = {}
     seen_group = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -274,10 +280,12 @@ def parse_presentation(text: str) -> Presentation:
         elif key == "rel":
             if gens is None:
                 raise FormatError(f"line {lineno}: rel before gens")
-            try:
-                relators.append(cyclic_reduce(parse_word(rest, gens)))
-            except ValueError as e:
-                raise FormatError(f"line {lineno}: {e}") from e
+            if rest not in parsed:
+                try:
+                    parsed[rest] = cyclic_reduce(parse_word(rest, gens))
+                except ValueError as e:
+                    raise FormatError(f"line {lineno}: {e}") from e
+            relators.append(parsed[rest])
         else:
             raise FormatError(f"line {lineno}: unknown directive {key!r}")
     if not seen_group or gens is None:

@@ -11,15 +11,16 @@ says so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .fpgroup import (
     FormatError,
     Presentation,
     quotient_by_normal_closure,
     surface_group,
+    surface_relator,
 )
-from .word import _MAX_FIBER_GENUS, Word, cyclic_reduce, exponent_vector, parse_word
+from .word import _MAX_FIBER_GENUS, Generator, Word, cyclic_reduce, exponent_vector, parse_word
 from .zlinalg import DimensionMismatch, IntMatrix
 
 
@@ -55,11 +56,13 @@ class VanishingCycle:
 
 @dataclass(frozen=True)
 class MonodromyFactorization:
-    """Ordered Dehn-twist data on a genus-h fiber; leftmost twist acts first."""
+    """Ordered Dehn-twist data on a genus-h fiber; leftmost twist acts first.
+    `fiber` is the fiber alphabet: the cycles' tuple when they share one."""
 
     fiber_genus: int
     cycles: tuple[VanishingCycle, ...]
     signs: tuple[int, ...]
+    fiber: tuple[Generator, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.cycles) != len(self.signs):
@@ -68,8 +71,11 @@ class MonodromyFactorization:
             raise ValueError("signs must be +1 or -1")
         fiber = surface_group(self.fiber_genus).generators
         for c in self.cycles:
-            if c.word.alphabet != fiber:
-                raise ValueError("cycle word is not over the fiber surface generators")
+            if c.word.alphabet is not fiber:
+                if c.word.alphabet != fiber:
+                    raise ValueError("cycle word is not over the fiber surface generators")
+                fiber = c.word.alphabet
+        object.__setattr__(self, "fiber", fiber)
 
 
 def symplectic_pairing(x: HomologyClass, y: HomologyClass) -> int:
@@ -112,20 +118,20 @@ def monodromy_product(m: MonodromyFactorization) -> IntMatrix:
 
     A twist matrix is the identity plus the rank-one sign * c (Jc)^T, so
     it multiplies the product P as P + sign * c ((Jc)^T P): O(n^2) work
-    per twist, and less for the few-term classes of vanishing cycles.
+    per twist, and O(n) per nonzero entry of c and Jc (one row update
+    each) for the few-term classes of vanishing cycles.
     """
     n = 2 * m.fiber_genus
     product = IntMatrix.identity(n).to_rows()
     for cycle, sign in zip(m.cycles, m.signs):
-        c = cycle.homology.coordinates
-        terms = [(x, product[k]) for k, x in enumerate(_pairing_row(cycle.homology)) if x]
-        pairing = [sum(x * row[j] for x, row in terms) for j in range(n)]
-        for i, ci in enumerate(c):
+        pairing = [0] * n
+        for k, x in enumerate(_pairing_row(cycle.homology)):
+            if x:
+                pairing = [p + x * v for p, v in zip(pairing, product[k])]
+        for i, ci in enumerate(cycle.homology.coordinates):
             if ci:
-                row = product[i]
                 scale = sign * ci
-                for j in range(n):
-                    row[j] += scale * pairing[j]
+                product[i] = [v + scale * p for v, p in zip(product[i], pairing)]
     return IntMatrix.from_rows(product, cols=n)
 
 
@@ -135,21 +141,21 @@ def homology_trivial(m: MonodromyFactorization) -> bool:
     return monodromy_product(m) == IntMatrix.identity(2 * m.fiber_genus)
 
 
-def total_space_pi1(m: MonodromyFactorization) -> Presentation:
+def total_space_pi1(m: MonodromyFactorization, trivial: bool | None = None) -> Presentation:
     """Fundamental group of the total space: the fiber surface group modulo
     the normal closure of the vanishing cycles.
 
     Valid when the twist product is trivial in the pointed mapping class
     group; computed unconditionally, with a caveat in the label whenever
-    even the homological check fails.
+    even the homological check fails.  `trivial` is that check's result
+    when the caller already has it (`homology_trivial(m)`).
     """
     label = "total space pi1"
-    if not homology_trivial(m):
+    if not (homology_trivial(m) if trivial is None else trivial):
         label += " [caveat: monodromy product is not homologically trivial]"
-    q = quotient_by_normal_closure(
-        surface_group(m.fiber_genus), [c.word for c in m.cycles]
-    )
-    return Presentation(q.generators, q.relators, label=label)
+    fiber = m.fiber
+    surface = Presentation(fiber, (surface_relator(fiber),) if fiber else (), label=label)
+    return quotient_by_normal_closure(surface, [c.word for c in m.cycles])
 
 
 def euler_characteristic(m: MonodromyFactorization) -> int:
@@ -162,10 +168,11 @@ def euler_characteristic(m: MonodromyFactorization) -> int:
 
 def parse_factorization(text: str) -> tuple[MonodromyFactorization, str | None]:
     """Parse the fibration/fiber_genus/cycle file format; returns the
-    factorization and the label."""
+    factorization and the label.  A repeated cycle text is parsed once."""
     label: str | None = None
     genus: int | None = None
     cycles: list[VanishingCycle] = []
+    parsed: dict[str, VanishingCycle] = {}
     signs: list[int] = []
     fiber = None
     seen_fibration = False
@@ -200,11 +207,14 @@ def parse_factorization(text: str) -> tuple[MonodromyFactorization, str | None]:
             sign_tok, _, word_text = rest.partition(" ")
             if sign_tok not in ("+", "-"):
                 raise FormatError(f"line {lineno}: expected + or -, found {sign_tok!r}")
-            try:
-                w = parse_word(word_text.strip(), fiber)
-            except ValueError as e:
-                raise FormatError(f"line {lineno}: {e}") from e
-            cycles.append(VanishingCycle.from_word(w))
+            word_text = word_text.strip()
+            if word_text not in parsed:
+                try:
+                    w = parse_word(word_text, fiber)
+                except ValueError as e:
+                    raise FormatError(f"line {lineno}: {e}") from e
+                parsed[word_text] = VanishingCycle.from_word(w)
+            cycles.append(parsed[word_text])
             signs.append(1 if sign_tok == "+" else -1)
         else:
             raise FormatError(f"line {lineno}: unknown directive {key!r}")

@@ -16,6 +16,11 @@ sugar: [u,v] denotes u v u^-1 v^-1.  The identity word renders as "1".
 The parser, and every function here or in `fpgroup` and `fibersum` that
 makes a word, assembles the letters, freely reduces them once and
 constructs (so validates) one `Word`, never a fold of intermediate words.
+
+Repeated relators and vanishing cycles are shared objects: a file's
+distinct lines are parsed once, `cyclic_reduce` returns a word it leaves
+unchanged, and rendering and abelianizing visit each object once (keyed
+by identity within the call), so each distinct word is validated once.
 """
 
 from __future__ import annotations
@@ -130,12 +135,13 @@ def commutator(u: Word, v: Word) -> Word:
 
 def cyclic_reduce(w: Word) -> Word:
     """Strip mutually inverse first/last letters until none remain; the
-    cancelling pairs are counted first and cut off with one slice."""
+    cancelling pairs are counted first and cut off with one slice.  A word
+    with none is returned itself."""
     letters = w.letters
     k, last = 0, len(letters) - 1
     while k < last - k and letters[k] == (letters[last - k][0], -letters[last - k][1]):
         k += 1
-    return Word(w.alphabet, letters[k : len(letters) - k])
+    return Word(w.alphabet, letters[k : len(letters) - k]) if k else w
 
 
 def exponent_vector(w: Word) -> tuple[int, ...]:

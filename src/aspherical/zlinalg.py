@@ -554,9 +554,10 @@ def _has_unit(row: Mapping[int, int]) -> bool:
 
 def abelianization(p: "Presentation") -> FgAbelian:
     """Cokernel of the relator exponent matrix, its rows read off the
-    relator words as sparse exponent sums."""
+    relator words as sparse exponent sums.  A relator object that repeats
+    gives one row: a repeated generator leaves a lattice unchanged."""
     rows = []
-    for r in p.relators:
+    for r in {id(r): r for r in p.relators}.values():
         row: dict[int, int] = {}
         for i, s in r.letters:
             row[i] = row.get(i, 0) + s
