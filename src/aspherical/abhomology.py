@@ -1,14 +1,27 @@
 """Integral homology of finitely generated abelian groups.
 
-Homology is assembled structurally: the closed form H_k(Z^m) = Z^C(m,k)
-for the free part, closed formulas for the cyclic invariant factors, then
-the Kunneth formula
+Write g = Z^m + Z/d_1 + ... + Z/d_t with d_1 | ... | d_t.  The free part
+gives H_k(Z^m) = Z^C(m,k); each invariant factor is folded in by the
+Kunneth formula.  H_*(Z/d) is Z in degree 0, Z/d in odd degrees and 0 in
+positive even degrees, so
 
-    H_n(G x H) = sum_{i+j=n} H_i(G) (x) H_j(H)  +  sum_{i+j=n-1} Tor(H_i(G), H_j(H))
+    H_n(A x Z/d) = H_n(A) + sum_{i = n-1, n-3, ...} H_i(A) (x) Z/d
+                          + sum_{i = n-2, n-4, ...} Tor(H_i(A), Z/d).
 
-iterated over the invariant factors.  The fold works on counted groups,
-a free rank plus an {order: multiplicity} map, so no summand is spelled
-out until each degree's group is normalised once at the end.  Real
+Every order the fold makes is a member of g's divisor chain: d itself
+(from a free summand of H_i(A)), or gcd(x, d) = x for an earlier member
+x, which divides d.  So a torsion summand Z/x of H_i(A) passes into
+degree n once for each i <= n, and the fresh copies of Z/d in degree n
+number C(m, n-1) + C(m, n-3) + ...  Each fold is then a prefix sum over
+the degrees, and each degree's summands, laid out in ascending order,
+already are its invariant factors: nothing is normalised.
+
+The number c_n of invariant factors of H_n(g) has a closed form.  Take a
+prime p dividing d_1; it divides every order above.  Over F_p each Z/d
+has F_p in every degree, so H_*(g; F_p) has Poincare series
+(1 + x)^m / (1 - x)^t, and universal coefficients give its degree-n
+coefficient as P_n = C(m, n) + c_n + c_{n-1}: one F_p for each summand
+of H_n, and one for each torsion summand of H_{n-1} through Tor.  Real
 cohomology only sees the free rank, which gives binomial coefficients.
 """
 
@@ -17,15 +30,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import accumulate, chain, repeat
 
+from .word import _MAX_HOMOLOGY_SUMMANDS
 from .zlinalg import FgAbelian
 
 DEFAULT_DEGREE_CAP = 8
-
-
-class InvalidModulus(ValueError):
-    pass
 
 
 class InsufficientDegrees(ValueError):
@@ -43,34 +53,26 @@ class GradedAbelian:
         return len(self.groups) - 1
 
 
-def homology_cyclic(n: int, k: int) -> FgAbelian:
-    """H_k of the cyclic group of order n (n = 0 meaning Z, n = 1 trivial).
+def invariant_factor_counts(m: int, t: int, top: int) -> list[int]:
+    """c_0..c_top, the number of invariant factors of H_n of Z^m plus t
+    cyclic invariant factors: c_n = P_n - C(m, n) - c_{n-1}, with P_n the
+    coefficient of x^n in (1 + x)^m / (1 - x)^t.
 
-    Z has Z in degrees 0 and 1; Z/n has Z in degree 0, Z/n in odd degrees
-    and nothing in positive even degrees.
-
-    >>> print(homology_cyclic(2, 3).render())
-    Z/2
-    >>> print(homology_cyclic(0, 1).render())
-    Z
-    >>> print(homology_cyclic(2, 2).render())
-    0
+    >>> invariant_factor_counts(4, 1, 3)
+    [0, 1, 4, 7]
+    >>> sum(invariant_factor_counts(0, 11, 8))
+    52833
     """
-    if n < 0:
-        raise InvalidModulus(f"modulus {n}")
-    if k < 0:
-        raise ValueError(f"degree {k}")
-    if k == 0:
-        return FgAbelian(1)
-    if n == 0:
-        return FgAbelian(1) if k == 1 else FgAbelian(0)
-    if n == 1:
-        return FgAbelian(0)
-    return FgAbelian(0, (n,)) if k % 2 else FgAbelian(0)
-
-
-def graded_cyclic(n: int, max_degree: int) -> GradedAbelian:
-    return GradedAbelian(tuple(homology_cyclic(n, k) for k in range(max_degree + 1)))
+    inverse = [1]  # inverse[j] = C(t + j - 1, j), the x^j coefficient of 1/(1 - x)^t
+    for j in range(1, top + 1):
+        inverse.append(inverse[-1] * (t + j - 1) // j)
+    counts = []
+    c = 0
+    for n in range(top + 1):
+        p = sum(math.comb(m, i) * inverse[n - i] for i in range(n + 1))
+        c = p - math.comb(m, n) - c
+        counts.append(c)
+    return counts
 
 
 # A counted group: (free rank, {order: multiplicity}) with every order >= 2.
@@ -105,16 +107,6 @@ def _add_tensor(acc: dict[int, int], a: Counted, b: Counted) -> int:
     return free_a * free_b
 
 
-def _kunneth_counts(ha: Sequence[Counted], hb: Sequence[Counted], n: int) -> Counted:
-    acc: dict[int, int] = {}
-    free = 0
-    for i in range(n + 1):
-        free += _add_tensor(acc, ha[i], hb[n - i])
-    for i in range(n):
-        _add_tor(acc, ha[i], hb[n - 1 - i])
-    return free, acc
-
-
 def tensor(a: FgAbelian, b: FgAbelian) -> FgAbelian:
     """Z(x)Z = Z, Z(x)Z/n = Z/n, Z/m(x)Z/n = Z/gcd(m,n), extended additively.
 
@@ -141,20 +133,42 @@ def kunneth(ha: GradedAbelian, hb: GradedAbelian, n: int) -> FgAbelian:
         raise InsufficientDegrees(
             f"need degrees through {n}, have {ha.top_degree} and {hb.top_degree}"
         )
-    counted_a = [_counted(g) for g in ha.groups[: n + 1]]
-    counted_b = [_counted(g) for g in hb.groups[: n + 1]]
-    return FgAbelian.from_counts(*_kunneth_counts(counted_a, counted_b, n))
+    a = [_counted(g) for g in ha.groups[: n + 1]]
+    b = [_counted(g) for g in hb.groups[: n + 1]]
+    acc: dict[int, int] = {}
+    free = 0
+    for i in range(n + 1):
+        free += _add_tensor(acc, a[i], b[n - i])
+    for i in range(n):
+        _add_tor(acc, a[i], b[n - 1 - i])
+    return FgAbelian.from_counts(free, acc)
 
 
 def group_homology_graded(g: FgAbelian, max_degree: int = DEFAULT_DEGREE_CAP) -> GradedAbelian:
-    """H_0..H_max of g: Z^C(m,k) for the free part, then Kunneth folded
-    over the invariant factors on counted groups."""
-    degrees = range(max_degree + 1)
-    acc = [(math.comb(g.free_rank, k), {}) for k in degrees]
+    """H_0..H_max of g: Z^C(m,k) for the free part, then one prefix sum
+    over the degrees per invariant factor (see the module docstring).
+
+    Rejected up front when the invariant factors through max_degree
+    number more than _MAX_HOMOLOGY_SUMMANDS.
+    """
+    summands = sum(invariant_factor_counts(g.free_rank, len(g.torsion), max_degree))
+    if summands > _MAX_HOMOLOGY_SUMMANDS:
+        raise ValueError(
+            f"homology through degree {max_degree} has {summands} torsion summands, "
+            f"over the limit of {_MAX_HOMOLOGY_SUMMANDS}"
+        )
+    free = [math.comb(g.free_rank, k) for k in range(max_degree + 1)]
+    # fresh[n] = C(m, n-1) + C(m, n-3) + ..., the new copies of Z/d in degree n
+    fresh = [0] + [sum(free[n::-2]) for n in range(max_degree)]
+    columns: dict[int, list[int]] = {}  # chain member -> its count in each degree
     for d in g.torsion:
-        block = [_counted(h) for h in graded_cyclic(d, max_degree).groups]
-        acc = [_kunneth_counts(acc, block, k) for k in degrees]
-    return GradedAbelian(tuple(FgAbelian.from_counts(*h) for h in acc))
+        columns = {x: list(accumulate(col)) for x, col in columns.items()}
+        columns[d] = [a + b for a, b in zip(columns.get(d, repeat(0)), fresh)]
+    groups = []
+    for n, rank in enumerate(free):
+        torsion = chain.from_iterable(repeat(x, col[n]) for x, col in columns.items())
+        groups.append(FgAbelian(rank, tuple(torsion)))
+    return GradedAbelian(tuple(groups))
 
 
 def group_homology(g: FgAbelian, k: int) -> FgAbelian:
@@ -168,15 +182,14 @@ def group_homology(g: FgAbelian, k: int) -> FgAbelian:
 
 
 def factor_homology_sum(g: FgAbelian, k: int) -> FgAbelian:
-    """H_k of the free part plus H_k of each invariant factor.
+    """H_k of the free part plus H_k of each invariant factor: Z^C(m,k),
+    plus Z for each factor when k = 0, plus g's torsion when k is odd.
 
     Always a direct summand of the full H_k(g); the difference is the
     cross terms the Kunneth formula contributes.
     """
-    out = FgAbelian(math.comb(g.free_rank, k))
-    for d in g.torsion:
-        out = out.direct_sum(homology_cyclic(d, k))
-    return out
+    free = math.comb(g.free_rank, k) + (len(g.torsion) if k == 0 else 0)
+    return FgAbelian(free, g.torsion if k % 2 else ())
 
 
 def real_cohomology_rank(g: FgAbelian, k: int) -> int:

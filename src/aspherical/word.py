@@ -213,10 +213,13 @@ _MAX_PARSED_LETTERS = 1 << 18
 # one still parses.  A fiber sum of base genus e adds 4 e f mixed
 # commutators on a genus-f fiber, so e f is capped as well as e.  A
 # fibration file's fiber_genus g makes the monodromy 2g x 2g matrices.
+# Homology of (Z/2)^18 through degree 8 would print 1,188,678 torsion
+# summands, about 7 MB; (Z/2)^16, with 548,590, stays accepted.
 _MAX_WITNESS_GENERATORS = 256
 _MAX_BASE_GENUS = 1024
 _MAX_GENUS_PRODUCT = 1 << 14
 _MAX_FIBER_GENUS = 512
+_MAX_HOMOLOGY_SUMMANDS = 1 << 20
 
 
 class _Parser:

@@ -15,7 +15,10 @@ Three deliberately separate computation paths live here:
 * the factorising normalisation and tuple-spelled Kunneth fold that the
   counted code in `zlinalg` and `abhomology` replaced: every cyclic
   summand is a tuple entry, every order is factored by trial division
-  and the divisor chain is rebuilt prime by prime.
+  and the divisor chain is rebuilt prime by prime.  The graded homology
+  of one cyclic group (`homology_cyclic`, `graded_cyclic`), which the
+  fold in `abhomology` no longer builds, sits beside it for the tests
+  of `abhomology.kunneth`.
 
 Three matrix certificates sit beside them: an exact determinant (the
 Smith transforms must be unimodular), the symplectic gram matrix (twist
@@ -41,6 +44,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 
+from aspherical.abhomology import GradedAbelian
 from aspherical.fpgroup import GroupHom, Presentation
 from aspherical.word import (
     Generator,
@@ -666,6 +670,34 @@ def reference_group_homology_graded(orders, top: int) -> list[FgAbelian]:
     for n in orders:
         acc = reference_times_cyclic(acc, n)
     return acc
+
+
+class InvalidModulus(ValueError):
+    pass
+
+
+def homology_cyclic(n: int, k: int) -> FgAbelian:
+    """H_k of the cyclic group of order n (n = 0 meaning Z, n = 1 trivial),
+    as `FgAbelian`s for the Kunneth fold in `abhomology.kunneth`.
+
+    Z has Z in degrees 0 and 1; Z/n has Z in degree 0, Z/n in odd degrees
+    and nothing in positive even degrees.
+    """
+    if n < 0:
+        raise InvalidModulus(f"modulus {n}")
+    if k < 0:
+        raise ValueError(f"degree {k}")
+    if k == 0:
+        return FgAbelian(1)
+    if n == 0:
+        return FgAbelian(1) if k == 1 else FgAbelian(0)
+    if n == 1:
+        return FgAbelian(0)
+    return FgAbelian(0, (n,)) if k % 2 else FgAbelian(0)
+
+
+def graded_cyclic(n: int, max_degree: int) -> GradedAbelian:
+    return GradedAbelian(tuple(homology_cyclic(n, k) for k in range(max_degree + 1)))
 
 
 # --- folded word construction ------------------------------------------------

@@ -3,16 +3,13 @@ import random
 
 import pytest
 
-from oracles import oracle_group_homology
+from oracles import InvalidModulus, graded_cyclic, homology_cyclic, oracle_group_homology
 from aspherical.abhomology import (
     GradedAbelian,
     InsufficientDegrees,
-    InvalidModulus,
     factor_homology_sum,
-    graded_cyclic,
     group_homology,
     group_homology_graded,
-    homology_cyclic,
     kunneth,
     real_cohomology_rank,
     tensor,
