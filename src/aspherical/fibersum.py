@@ -18,7 +18,7 @@ from .fpgroup import (
     abelian_presentation,
     compose,
     pinch_presentation_map,
-    surface_group,
+    surface_generators,
     surface_relator,
 )
 from .word import (
@@ -91,22 +91,29 @@ def fiber_sum_with_trivial_bundle(
         raise ValueError(
             f"base genus {e} times fiber genus {f} exceeds the limit of {_MAX_GENUS_PRODUCT}"
         )
-    fiber_gens = x.presentation.generators
-    base_gens = tuple(
-        Generator(f"{letter}{j + 1}") for j in range(e) for letter in ("x", "y")
-    )
-    gens = fiber_gens + base_gens
-
+    gens = x.presentation.generators + surface_generators(e, "xy")
     fiber_relators = {id(w): w for w in x.presentation.relators}
     rebound = {k: Word(gens, w.letters) for k, w in fiber_relators.items()}
-    relators = [rebound[id(x.presentation.relators[0])], surface_relator(gens, 2 * f)]
+    first = rebound[id(x.presentation.relators[0])]
+    extra = [rebound[id(r)] for r in x.extra_relators]
+    return Presentation(gens, _fiber_sum_relators(gens, f, e, first, extra), label=label)
+
+
+def _fiber_sum_relators(
+    gens: tuple[Generator, ...], f: int, e: int, fiber_relator: Word, extra: list[Word]
+) -> tuple[Word, ...]:
+    """The fiber sum's relators over `gens`, a genus-f fiber's generators
+    then genus-e base generators: the fiber's surface relator, the base's,
+    the mixed commutators [u, g] for base generator u and fiber generator
+    g (by base pair j, fiber pair i, u, then g), then the extra relators."""
+    relators = [fiber_relator, surface_relator(gens, 2 * f)]
     for j in range(e):
         for i in range(f):
             for u in (2 * f + 2 * j, 2 * f + 2 * j + 1):
                 for g in (2 * i, 2 * i + 1):
                     relators.append(Word(gens, ((u, 1), (g, 1), (u, -1), (g, -1))))
-    relators.extend(rebound[id(r)] for r in x.extra_relators)
-    return Presentation(gens, tuple(relators), label=label)
+    relators += extra
+    return tuple(relators)
 
 
 def presentation_chain_for(gamma: FgAbelian) -> tuple[GroupHom, int]:
@@ -151,12 +158,14 @@ def witness_presentation(gamma: FgAbelian) -> Presentation:
     for A (`presentation_chain_for`), written on its genus-g source, give
     a fibered presentation whose quotient is exactly A, and the
     trivial-bundle fiber sum with base genus 1 adjoins the Z^2 factor.
-    Everything else is rejected.
+    The relators are those of that fibered presentation summed by
+    `fiber_sum_with_trivial_bundle`, each written once, directly over the
+    final generators a_1,...,b_g, x_1, y_1.  Everything else is rejected.
     """
     m = gamma.free_rank
     label = f"witness {gamma.render()}"
     if gamma == FgAbelian(2):
-        gens = surface_group(1).generators
+        gens = surface_generators(1)
         return Presentation(gens, (surface_relator(gens),), label=label)
     if m < 2:
         reason = "free rank 0 or 1"
@@ -168,23 +177,23 @@ def witness_presentation(gamma: FgAbelian) -> Presentation:
         reason = None
     if reason is not None:
         raise NotAspherical(reason)
-    if m + len(gamma.torsion) > _MAX_WITNESS_GENERATORS:
+    torsion = gamma.torsion
+    if m + len(torsion) > _MAX_WITNESS_GENERATORS:
         raise ValueError(
-            f"free rank plus torsion factors is {m + len(gamma.torsion)}, over the "
+            f"free rank plus torsion factors is {m + len(torsion)}, over the "
             f"witness limit of {_MAX_WITNESS_GENERATORS}"
         )
-    if sum(gamma.torsion) > _MAX_PARSED_LETTERS:
+    if sum(torsion) > _MAX_PARSED_LETTERS:
         raise ValueError(
-            f"torsion relators would take {sum(gamma.torsion)} letters, over the "
+            f"torsion relators would take {sum(torsion)} letters, over the "
             f"witness limit of {_MAX_PARSED_LETTERS}"
         )
 
-    a = FgAbelian(m - 2, gamma.torsion)
-    m_prime = a.free_rank
-    r = m_prime + len(a.torsion)
+    m_prime = m - 2  # A = Z^{m'} + torsion
+    r = m_prime + len(torsion)
     h = 2 * r
     g = h + 1
-    gens = surface_group(g).generators
+    gens = surface_generators(g) + surface_generators(1, "xy")
 
     # Normal generators of the chain's kernel: the killed generators, the
     # identification of the torus pair a_g, b_g with the two surface
@@ -200,11 +209,8 @@ def witness_presentation(gamma: FgAbelian) -> Presentation:
     for i in range(r):
         for j in range(i + 1, r):
             relators.append(Word(gens, ((2 * i, 1), (2 * j, 1), (2 * i, -1), (2 * j, -1))))
-    for t, dt in enumerate(a.torsion):
+    for t, dt in enumerate(torsion):
         relators.append(Word(gens, ((2 * (m_prime + t), 1),) * dt))
 
-    fibered = SurfaceFiberedPresentation(
-        g,
-        Presentation(gens, (surface_relator(gens),) + tuple(relators)),
-    )
-    return fiber_sum_with_trivial_bundle(fibered, 1, label)
+    fiber_relator = surface_relator(gens, 0, 2 * g)
+    return Presentation(gens, _fiber_sum_relators(gens, g, 1, fiber_relator, relators), label=label)

@@ -24,6 +24,7 @@ from .word import (
     Word,
     _free_reduce,
     _inv,
+    _render_letters,
     cyclic_reduce,
     exponent_vector,
     generator_word,
@@ -133,11 +134,17 @@ def free_group(r: int) -> Presentation:
     return Presentation(gens, (), label=f"F_{r}")
 
 
-def surface_relator(gens: tuple[Generator, ...], first: int = 0) -> Word:
-    """[a_1,b_1]...[a_g,b_g] over the generator pairs from index `first` on,
-    laid out already reduced: neighbouring letters name different generators."""
+def surface_generators(g: int, letters: str = "ab") -> tuple[Generator, ...]:
+    """a_1,b_1,...,a_g,b_g (or the pairs named by `letters`), in order."""
+    return tuple(Generator(f"{c}{i + 1}") for i in range(g) for c in letters)
+
+
+def surface_relator(gens: tuple[Generator, ...], first: int = 0, stop: int | None = None) -> Word:
+    """[a_1,b_1]...[a_g,b_g] over the generator pairs from index `first` up
+    to `stop` (the end by default), laid out already reduced: neighbouring
+    letters name different generators."""
     letters: list[tuple[int, int]] = []
-    for i in range(first, len(gens), 2):
+    for i in range(first, len(gens) if stop is None else stop, 2):
         letters += ((i, 1), (i + 1, 1), (i, -1), (i + 1, -1))
     return Word(gens, tuple(letters))
 
@@ -151,9 +158,7 @@ def surface_group(g: int) -> Presentation:
         raise InvalidGenus("negative genus")
     if g == 0:
         return Presentation((), (), label="pi_0")
-    gens = tuple(
-        Generator(f"{letter}{i + 1}") for i in range(g) for letter in ("a", "b")
-    )
+    gens = surface_generators(g)
     return Presentation(gens, (surface_relator(gens),), label=f"pi_{g}")
 
 
@@ -238,15 +243,17 @@ def pinch_presentation_map(g1: int, g2: int) -> GroupHom:
 
 def render_presentation(p: Presentation) -> str:
     """group/gens/rel lines; generators and relators in declared order.
-    A relator object that repeats is rendered once."""
-    lines = [f"group {p.label}" if p.label else "group"]
-    names = " ".join(g.name for g in p.generators)
-    lines.append(f"gens {names}" if names else "gens")
+    The name tables are made once, and a relator object that repeats is
+    rendered once."""
+    names = [g.name for g in p.generators]
+    inverses = [f"{name}^-1" for name in names]
+    lines = [f"group {p.label}" if p.label else "group", " ".join(["gens", *names])]
     rendered: dict[int, str] = {}
     for r in p.relators:
-        if id(r) not in rendered:
-            rendered[id(r)] = f"rel {render_word(r)}"
-        lines.append(rendered[id(r)])
+        line = rendered.get(id(r))
+        if line is None:
+            line = rendered[id(r)] = "rel " + _render_letters(r.letters, names, inverses)
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 

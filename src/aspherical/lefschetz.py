@@ -17,6 +17,7 @@ from .fpgroup import (
     FormatError,
     Presentation,
     quotient_by_normal_closure,
+    surface_generators,
     surface_group,
     surface_relator,
 )
@@ -200,7 +201,7 @@ def parse_factorization(text: str) -> tuple[MonodromyFactorization, str | None]:
                 raise FormatError(
                     f"line {lineno}: fiber_genus {genus} exceeds the limit of {_MAX_FIBER_GENUS}"
                 )
-            fiber = surface_group(genus).generators
+            fiber = surface_generators(genus)
         elif key == "cycle":
             if fiber is None:
                 raise FormatError(f"line {lineno}: cycle before fiber_genus")

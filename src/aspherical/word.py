@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 _IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
@@ -70,13 +70,22 @@ class Word:
 
     def __post_init__(self):
         n = len(self.alphabet)
+        pi = ps = None
+        for i, s in self.letters:
+            if not 0 <= i < n or s not in (1, -1) or (i == pi and s == -ps):
+                raise ValueError(self._fault(n))
+            pi, ps = i, s
+
+    def _fault(self, n: int) -> str:
+        """What is wrong with the first bad letter."""
         for k, (i, s) in enumerate(self.letters):
             if not 0 <= i < n:
-                raise ValueError(f"letter {k} references generator {i} of {n}")
+                return f"letter {k} references generator {i} of {n}"
             if s not in (1, -1):
-                raise ValueError(f"letter {k} has sign {s}")
+                return f"letter {k} has sign {s}"
             if k and self.letters[k - 1] == (i, -s):
-                raise ValueError("word is not freely reduced")
+                break
+        return "word is not freely reduced"
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -154,23 +163,32 @@ def exponent_vector(w: Word) -> tuple[int, ...]:
 
 def render_word(w: Word) -> str:
     """Render with runs collapsed into powers; the identity is "1"."""
-    if not w.letters:
+    names = {i: w.alphabet[i].name for i, _ in w.letters}
+    return _render_letters(w.letters, names, {i: f"{x}^-1" for i, x in names.items()})
+
+
+def _render_letters(
+    letters: tuple[tuple[int, int], ...],
+    names: Sequence[str] | Mapping[int, str],
+    inverses: Sequence[str] | Mapping[int, str],
+) -> str:
+    """Runs of equal letters as powers, in one loop over the letters;
+    `names[i]` and `inverses[i]` spell generator i and its inverse."""
+    if not letters:
         return "1"
     parts: list[str] = []
-    run_idx, run_sign, run_len = w.letters[0][0], w.letters[0][1], 1
-    for i, s in w.letters[1:]:
-        if i == run_idx and s == run_sign:
-            run_len += 1
+    run, n = letters[0], 0
+    for letter in (*letters, None):  # the sentinel closes the last run
+        if letter == run:
+            n += 1
+            continue
+        i, s = run
+        if n == 1:
+            parts.append(names[i] if s > 0 else inverses[i])
         else:
-            parts.append(_render_run(w.alphabet, run_idx, run_sign * run_len))
-            run_idx, run_sign, run_len = i, s, 1
-    parts.append(_render_run(w.alphabet, run_idx, run_sign * run_len))
+            parts.append(f"{names[i]}^{s * n}")
+        run, n = letter, 1
     return " ".join(parts)
-
-
-def _render_run(alphabet: tuple[Generator, ...], idx: int, exponent: int) -> str:
-    name = alphabet[idx].name
-    return name if exponent == 1 else f"{name}^{exponent}"
 
 
 # --- parser ---------------------------------------------------------------

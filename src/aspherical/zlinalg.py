@@ -381,11 +381,15 @@ class FgAbelian:
     def __post_init__(self):
         if self.free_rank < 0:
             raise ValueError("negative free rank")
-        for i, d in enumerate(self.torsion):
+        prev = None
+        for d in self.torsion:
+            if d == prev:  # an equal neighbour passed both checks already
+                continue
             if d < 2:
                 raise ValueError(f"invariant factor {d} < 2")
-            if i and self.torsion[i] % self.torsion[i - 1]:
+            if prev is not None and d % prev:
                 raise ValueError(f"broken divisor chain {self.torsion}")
+            prev = d
 
     @classmethod
     def from_counts(cls, free_rank: int, counts: Mapping[int, int]) -> "FgAbelian":
@@ -555,13 +559,15 @@ def _has_unit(row: Mapping[int, int]) -> bool:
 def abelianization(p: "Presentation") -> FgAbelian:
     """Cokernel of the relator exponent matrix, its rows read off the
     relator words as sparse exponent sums.  A relator object that repeats
-    gives one row: a repeated generator leaves a lattice unchanged."""
+    gives one row: a repeated generator leaves a lattice unchanged.  Zero
+    rows, such as those of commutators, are dropped here."""
     rows = []
     for r in {id(r): r for r in p.relators}.values():
         row: dict[int, int] = {}
         for i, s in r.letters:
             row[i] = row.get(i, 0) + s
-        rows.append(row)
+        if any(row.values()):
+            rows.append(row)
     return cokernel(rows, len(p.generators))
 
 

@@ -35,7 +35,10 @@ comparison in `zlinalg.in_row_lattice`.
 The words that `word`, `fpgroup` and `fibersum` now lay out letter by
 letter are also made here in their old folded form: every product goes
 through `multiply`, so each intermediate word is reduced and validated,
-and the witness is rebuilt from those folds.
+and the witness is rebuilt from those folds.  The witness is also built
+here in two stages, as `fibersum` once did: its fibered presentation
+over the fiber alphabet, then the fiber sum of that with a genus-1
+trivial bundle, which re-binds every relator to the larger alphabet.
 """
 
 from __future__ import annotations
@@ -45,7 +48,12 @@ from dataclasses import dataclass
 from functools import cache
 
 from aspherical.abhomology import GradedAbelian
-from aspherical.fpgroup import GroupHom, Presentation
+from aspherical.fibersum import (
+    NotAspherical,
+    SurfaceFiberedPresentation,
+    fiber_sum_with_trivial_bundle,
+)
+from aspherical.fpgroup import GroupHom, Presentation, surface_group, surface_relator
 from aspherical.word import (
     Generator,
     Word,
@@ -782,3 +790,38 @@ def reference_witness(gamma: FgAbelian) -> Presentation:
     for t, d in enumerate(gamma.torsion):
         relators.append(Word(gens, ((2 * (m_prime + t), 1),) * d))
     return Presentation(gens, tuple(relators), label=f"witness {gamma.render()}")
+
+
+def reference_witness_presentation(gamma: FgAbelian) -> Presentation:
+    """The witness in two stages: the fibered `Presentation` on the
+    genus-g fiber alphabet, checked as a `SurfaceFiberedPresentation`,
+    then `fiber_sum_with_trivial_bundle(..., 1, label)`."""
+    m = gamma.free_rank
+    label = f"witness {gamma.render()}"
+    if gamma == FgAbelian(2):
+        gens = surface_group(1).generators
+        return Presentation(gens, (surface_relator(gens),), label=label)
+    if m < 4:
+        raise NotAspherical(f"free rank {m}")
+    a = FgAbelian(m - 2, gamma.torsion)
+    m_prime = a.free_rank
+    r = m_prime + len(a.torsion)
+    h = 2 * r
+    g = h + 1
+    gens = surface_group(g).generators
+    relators: list[Word] = []
+    for i in range(h):
+        relators.append(Word(gens, ((2 * i + 1, 1),)))
+    for j in range(r, h):
+        relators.append(Word(gens, ((2 * j, 1),)))
+    relators.append(Word(gens, ((2 * h, 1), (2 * (m_prime - 2), -1))))
+    relators.append(Word(gens, ((2 * h + 1, 1), (2 * (m_prime - 1), -1))))
+    for i in range(r):
+        for j in range(i + 1, r):
+            relators.append(Word(gens, ((2 * i, 1), (2 * j, 1), (2 * i, -1), (2 * j, -1))))
+    for t, dt in enumerate(a.torsion):
+        relators.append(Word(gens, ((2 * (m_prime + t), 1),) * dt))
+    fibered = SurfaceFiberedPresentation(
+        g, Presentation(gens, (surface_relator(gens),) + tuple(relators))
+    )
+    return fiber_sum_with_trivial_bundle(fibered, 1, label)

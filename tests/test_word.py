@@ -135,6 +135,21 @@ def test_word_constructor_rejects_bad_letters():
         Word(AB, ((0, 2),))
 
 
+def test_word_constructor_names_the_first_bad_letter():
+    n = len(AB)
+    cases = {
+        ((0, 1), (n, 1), (1, 0)): f"letter 1 references generator {n} of {n}",
+        ((0, 1), (-1, 1)): f"letter 1 references generator -1 of {n}",
+        ((1, -1), (0, 3), (0, -3)): "letter 1 has sign 3",
+        ((0, 1), (1, 1), (1, -1), (n, 1)): "word is not freely reduced",
+        ((0, 1), (1, 1), (0, 0)): "letter 2 has sign 0",
+    }
+    for letters, message in cases.items():
+        with pytest.raises(ValueError) as exc:
+            Word(AB, letters)
+        assert str(exc.value) == message
+
+
 def test_generator_name_validation():
     for bad in ("1", "A", "9x", "", "a-b", "a b"):
         with pytest.raises(ValueError):

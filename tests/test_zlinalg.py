@@ -134,6 +134,39 @@ def test_fgabelian_validation():
         FgAbelian.from_counts(0, {2: -1})
 
 
+def _chain_error(torsion):
+    """The message of the check that takes one modulo per entry."""
+    for i, d in enumerate(torsion):
+        if d < 2:
+            return f"invariant factor {d} < 2"
+        if i and torsion[i] % torsion[i - 1]:
+            return f"broken divisor chain {torsion}"
+    return None
+
+
+def test_fgabelian_chain_check_skips_equal_neighbours_only():
+    broken = [(2, 2, 4, 4, 6), (3, 3, 2), (3, 4), (2, 2, 2, 3), (4, 4, 2, 1), (6, 6, 12, 18, 36)]
+    small = [(1,), (2, 2, 1), (2, 1, 1), (4, 4, 0), (-2,), (2, 2, 4, -4)]
+    for torsion in broken + small:
+        message = _chain_error(torsion)
+        assert message is not None
+        with pytest.raises(ValueError) as exc:
+            FgAbelian(0, torsion)
+        assert str(exc.value) == message
+    rng = random.Random(9301)
+    for _ in range(2000):
+        orders = (-1, 0, 1, 2, 2, 3, 4, 4, 6, 8, 12)
+        torsion = tuple(rng.choice(orders) for _ in range(rng.randrange(6)))
+        message = _chain_error(torsion)
+        if message is None:
+            assert FgAbelian(1, torsion).torsion == torsion
+        else:
+            with pytest.raises(ValueError) as exc:
+                FgAbelian(1, torsion)
+            assert str(exc.value) == message
+    assert FgAbelian(0, (2, 2, 4, 4, 8, 8)).torsion == (2, 2, 4, 4, 8, 8)
+
+
 def test_fgabelian_normalization():
     assert FgAbelian.from_cyclic_orders([2, 3]) == FgAbelian(0, (6,))
     assert FgAbelian.from_cyclic_orders([2, 4]) == FgAbelian(0, (2, 4))
