@@ -1,131 +1,15 @@
 """Symplectically aspherical abelian groups and Lefschetz fibration
 presentations: exact integer linear algebra, group homology via Kunneth,
-presentation-level fiber sums, and the classification verdict layer."""
+presentation-level fiber sums, and the classification verdict layer.
 
-from .abhomology import (
-    GradedAbelian,
-    group_homology,
-    group_homology_graded,
-    kunneth,
-    real_cohomology_rank,
-    tensor,
-    tor,
-)
-from .asphericity import (
-    AsphericityVerdict,
-    Reason,
-    classify,
-    covering_note,
-    hopf_obstruction_dim4,
-    realizable_dimensions,
-)
-from .fibersum import (
-    NotAspherical,
-    SurfaceFiberedPresentation,
-    fiber_sum_with_trivial_bundle,
-    presentation_chain_for,
-    witness_presentation,
-)
-from .fpgroup import (
-    GroupHom,
-    Presentation,
-    abelian_presentation,
-    compose,
-    free_group,
-    free_product,
-    parse_presentation,
-    pinch_presentation_map,
-    quotient_by_normal_closure,
-    render_presentation,
-    surface_group,
-)
-from .lefschetz import (
-    HomologyClass,
-    MonodromyFactorization,
-    VanishingCycle,
-    euler_characteristic,
-    homology_trivial,
-    monodromy_product,
-    total_space_pi1,
-    twist_matrix,
-)
-from .word import (
-    Generator,
-    Word,
-    commutator,
-    cyclic_reduce,
-    invert,
-    multiply,
-    parse_word,
-    render_word,
-)
-from .zlinalg import (
-    FgAbelian,
-    IntMatrix,
-    SmithDecomposition,
-    abelianization,
-    cokernel,
-    exists_epimorphism,
-    induced_matrix,
-    primary_decomposition,
-    smith_normal_form,
-)
+The package root exports the five names of the README's Library example;
+everything else is imported from its module (`aspherical.zlinalg`, ...)."""
+
+from .abhomology import group_homology
+from .asphericity import classify
+from .fibersum import witness_presentation
+from .zlinalg import FgAbelian, abelianization
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsphericityVerdict",
-    "FgAbelian",
-    "Generator",
-    "GradedAbelian",
-    "GroupHom",
-    "HomologyClass",
-    "IntMatrix",
-    "MonodromyFactorization",
-    "NotAspherical",
-    "Presentation",
-    "Reason",
-    "SmithDecomposition",
-    "SurfaceFiberedPresentation",
-    "VanishingCycle",
-    "Word",
-    "abelian_presentation",
-    "abelianization",
-    "classify",
-    "cokernel",
-    "commutator",
-    "compose",
-    "covering_note",
-    "cyclic_reduce",
-    "euler_characteristic",
-    "exists_epimorphism",
-    "fiber_sum_with_trivial_bundle",
-    "free_group",
-    "free_product",
-    "group_homology",
-    "group_homology_graded",
-    "homology_trivial",
-    "hopf_obstruction_dim4",
-    "induced_matrix",
-    "invert",
-    "kunneth",
-    "monodromy_product",
-    "multiply",
-    "parse_presentation",
-    "parse_word",
-    "pinch_presentation_map",
-    "presentation_chain_for",
-    "primary_decomposition",
-    "quotient_by_normal_closure",
-    "real_cohomology_rank",
-    "realizable_dimensions",
-    "render_presentation",
-    "render_word",
-    "smith_normal_form",
-    "surface_group",
-    "tensor",
-    "tor",
-    "total_space_pi1",
-    "twist_matrix",
-    "witness_presentation",
-]
+__all__ = ["FgAbelian", "classify", "group_homology", "witness_presentation", "abelianization"]

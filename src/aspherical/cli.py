@@ -73,16 +73,24 @@ def parse_group_spec(text: str) -> FgAbelian:
     return FgAbelian.from_counts(free_rank, counts)
 
 
+def _read_input(name: str) -> str:
+    path = Path(name)
+    if not path.exists():
+        raise ValueError(f"no such file: {path}")
+    return path.read_text()
+
+
 _GRADED_KEY = re.compile(r"H_\d+\Z")
 
 
-def _emit(payload: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
+def _emit(args: argparse.Namespace, payload: dict) -> None:
+    """Print the subcommand's report: JSON after the schema_version and
+    command header, or one text line (or block) per key."""
+    if args.format == "json":
+        header = {"schema_version": SCHEMA_VERSION, "command": args.subcommand}
+        print(json.dumps(header | payload, indent=2))
         return
     for key, value in payload.items():
-        if key in ("schema_version", "command"):
-            continue
         if _GRADED_KEY.match(key):
             print(f"{key} = {value}")
         elif isinstance(value, bool):
@@ -109,9 +117,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     note = asphericity.covering_note(gamma)
     if note is not None:
         citations.append("Corollary 5.4")
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "classify",
+    _emit(args, {
         "group": gamma.render(),
         "aspherical": verdict.aspherical,
         "reason": verdict.reason.value,
@@ -120,8 +126,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "class_note": verdict.class_note,
         "covering_note": note,
         "citations": citations,
-    }
-    _emit(payload, args.format)
+    })
     return EXIT_OK if verdict.aspherical else EXIT_VERDICT
 
 
@@ -134,33 +139,22 @@ def cmd_homology(args: argparse.Namespace) -> int:
         )
     graded = abhomology.group_homology_graded(gamma, max_degree=degree)
     summand = abhomology.factor_homology_sum(gamma, degree)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "homology",
-        "group": gamma.render(),
-        "max_degree": degree,
-    }
+    payload = {"group": gamma.render(), "max_degree": degree}
     for k, h in enumerate(graded.groups):
         payload[f"H_{k}"] = h.render()
     for k in range(degree + 1):
         payload[f"dim_R_H^{k}"] = abhomology.real_cohomology_rank(gamma, k)
     payload[f"factor_homology_sum_H_{degree}"] = summand.render()
     payload["contains_factor_homology_sum"] = graded.groups[degree].contains_summand(summand)
-    _emit(payload, args.format)
+    _emit(args, payload)
     return EXIT_OK
 
 
 def cmd_fibration(args: argparse.Namespace) -> int:
-    path = Path(args.file)
-    if not path.exists():
-        print(f"error: no such file: {path}", file=sys.stderr)
-        return EXIT_USAGE
-    m, label = lefschetz.parse_factorization(path.read_text())
+    m, label = lefschetz.parse_factorization(_read_input(args.file))
     trivial = lefschetz.homology_trivial(m)
     p = lefschetz.total_space_pi1(m, trivial)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "fibration",
+    _emit(args, {
         "fibration": label,
         "fiber_genus": m.fiber_genus,
         "cycles": len(m.cycles),
@@ -169,8 +163,7 @@ def cmd_fibration(args: argparse.Namespace) -> int:
         "homology_trivial_note": "homological check only; not sufficient for isotopy",
         "abelianization": zlinalg.abelianization(p).render(),
         "pi1_presentation": render_presentation(p),
-    }
-    _emit(payload, args.format)
+    })
     return EXIT_OK
 
 
@@ -180,20 +173,15 @@ def cmd_witness(args: argparse.Namespace) -> int:
         p = fibersum.witness_presentation(gamma)
     except fibersum.NotAspherical as e:
         verdict = asphericity.classify(gamma)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "witness",
+        _emit(args, {
             "group": gamma.render(),
             "aspherical": False,
             "reason": verdict.reason.value,
             "error": str(e),
-        }
-        _emit(payload, args.format)
+        })
         return EXIT_VERDICT
     ab = zlinalg.abelianization(p)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "witness",
+    _emit(args, {
         "group": gamma.render(),
         "aspherical": True,
         "abelianization": ab.render(),
@@ -201,53 +189,38 @@ def cmd_witness(args: argparse.Namespace) -> int:
         "abelianization_check": "PASS" if ab == gamma else "FAIL",
         "verdict": "symplectically aspherical (Theorem 1.2; witness via Corollary 4.6)",
         "presentation": render_presentation(p),
-    }
-    _emit(payload, args.format)
+    })
     return EXIT_OK
 
 
 def cmd_snf(args: argparse.Namespace) -> int:
-    path = Path(args.file)
-    if not path.exists():
-        print(f"error: no such file: {path}", file=sys.stderr)
-        return EXIT_USAGE
-    a = zlinalg.parse_matrix(path.read_text())
+    a = zlinalg.parse_matrix(_read_input(args.file))
     snf = zlinalg.smith_normal_form(a)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "snf",
+    _emit(args, {
         "rows": a.rows,
         "cols": a.cols,
         "D": snf.d.render(),
         "U": snf.u.render(),
         "V": snf.v.render(),
         "cokernel": snf.cokernel.render(),
-    }
-    _emit(payload, args.format)
+    })
     return EXIT_OK
 
 
 def cmd_fibersum(args: argparse.Namespace) -> int:
-    path = Path(args.file)
-    if not path.exists():
-        print(f"error: no such file: {path}", file=sys.stderr)
-        return EXIT_USAGE
-    p = parse_presentation(path.read_text())
+    p = parse_presentation(_read_input(args.file))
     fibered = fibersum.SurfaceFiberedPresentation(len(p.generators) // 2, p)
     result = fibersum.fiber_sum_with_trivial_bundle(fibered, args.base_genus)
     ab = zlinalg.abelianization(result)
     expected = zlinalg.abelianization(p).direct_sum(FgAbelian(2 * args.base_genus))
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "fibersum",
+    _emit(args, {
         "fiber_genus": fibered.fiber_genus,
         "base_genus": args.base_genus,
         "abelianization": ab.render(),
         "expected_abelianization": expected.render(),
         "abelianization_check": "PASS" if ab == expected else "FAIL",
         "presentation": render_presentation(result),
-    }
-    _emit(payload, args.format)
+    })
     return EXIT_OK
 
 

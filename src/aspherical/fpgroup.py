@@ -70,12 +70,6 @@ class Presentation:
             if r.letters and r.letters[0] == (r.letters[-1][0], -r.letters[-1][1]):
                 raise ValueError(f"relator {render_word(r)!r} is not cyclically reduced")
 
-    def generator_named(self, name: str) -> Generator:
-        for g in self.generators:
-            if g.name == name:
-                return g
-        raise UnknownGenerator(name)
-
     def word(self, text: str) -> Word:
         return parse_word(text, self.generators)
 

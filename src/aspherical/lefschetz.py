@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 from .fpgroup import (
     FormatError,
+    InvalidGenus,
     Presentation,
     quotient_by_normal_closure,
     surface_generators,
-    surface_group,
     surface_relator,
 )
 from .word import _MAX_FIBER_GENUS, Generator, Word, cyclic_reduce, exponent_vector, parse_word
@@ -70,23 +70,15 @@ class MonodromyFactorization:
             raise ValueError("one sign per cycle required")
         if any(s not in (1, -1) for s in self.signs):
             raise ValueError("signs must be +1 or -1")
-        fiber = surface_group(self.fiber_genus).generators
+        if self.fiber_genus < 0:
+            raise InvalidGenus("negative genus")
+        fiber = surface_generators(self.fiber_genus)
         for c in self.cycles:
             if c.word.alphabet is not fiber:
                 if c.word.alphabet != fiber:
                     raise ValueError("cycle word is not over the fiber surface generators")
                 fiber = c.word.alphabet
         object.__setattr__(self, "fiber", fiber)
-
-
-def symplectic_pairing(x: HomologyClass, y: HomologyClass) -> int:
-    if len(x.coordinates) != len(y.coordinates):
-        raise DimensionMismatch("pairing classes of different genus")
-    total = 0
-    for i in range(len(x.coordinates) // 2):
-        total += x.coordinates[2 * i] * y.coordinates[2 * i + 1]
-        total -= x.coordinates[2 * i + 1] * y.coordinates[2 * i]
-    return total
 
 
 def _pairing_row(c: HomologyClass) -> tuple[int, ...]:
@@ -124,9 +116,13 @@ def monodromy_product(m: MonodromyFactorization) -> IntMatrix:
     """
     n = 2 * m.fiber_genus
     product = IntMatrix.identity(n).to_rows()
+    rows: dict[int, tuple[int, ...]] = {}  # by cycle object: repeated cycles are shared
     for cycle, sign in zip(m.cycles, m.signs):
+        jc = rows.get(id(cycle))
+        if jc is None:
+            jc = rows[id(cycle)] = _pairing_row(cycle.homology)
         pairing = [0] * n
-        for k, x in enumerate(_pairing_row(cycle.homology)):
+        for k, x in enumerate(jc):
             if x:
                 pairing = [p + x * v for p, v in zip(pairing, product[k])]
         for i, ci in enumerate(cycle.homology.coordinates):

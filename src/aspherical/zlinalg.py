@@ -421,10 +421,6 @@ class FgAbelian:
                 counts[n] = counts.get(n, 0) + 1
         return cls.from_counts(free_rank, counts)
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     def direct_sum(self, other: "FgAbelian") -> "FgAbelian":
         counts = Counter(self.torsion)
         counts.update(other.torsion)

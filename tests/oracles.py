@@ -402,7 +402,7 @@ def is_surjective_onto(
         raise ValueError("target group does not match its relation matrix")
     rows = [[f_matrix.at(i, j) for i in range(f_matrix.rows)] for j in range(f_matrix.cols)]
     rows.extend(target_relations.to_rows())
-    return cokernel(IntMatrix.from_rows(rows, cols=f_matrix.rows)).is_trivial
+    return cokernel(IntMatrix.from_rows(rows, cols=f_matrix.rows)) == FgAbelian(0)
 
 
 # --- exhaustive epimorphism search ------------------------------------------

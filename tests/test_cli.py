@@ -1,6 +1,8 @@
+import errno
 import hashlib
 import json
 import math
+import os
 import random
 import time
 
@@ -206,6 +208,20 @@ def test_snf_file_errors(capsys, tmp_path):
     f = tmp_path / "bad.txt"
     f.write_text("1 x\n")
     assert run(capsys, "snf", str(f))[0] == 2
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["fibration", "snf", "fibersum"])
+def test_missing_or_directory_input_exits_2(capsys, tmp_path, command, fmt):
+    missing = tmp_path / "missing.txt"
+    assert run(capsys, "--format", fmt, command, str(missing)) == (
+        2, "", f"error: no such file: {missing}\n"
+    )
+    directory = tmp_path / "adir"
+    directory.mkdir()
+    assert run(capsys, "--format", fmt, command, str(directory)) == (
+        2, "", f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(directory)!r}\n"
+    )
 
 
 def test_fibration_command(capsys, tmp_path):

@@ -277,8 +277,6 @@ def test_presentation_validation():
     other = free_group(1)
     with pytest.raises(ValueError):
         Presentation(gens, (other.word("g1"),))
-    with pytest.raises(UnknownGenerator):
-        surface_group(1).generator_named("zz")
 
 
 def test_hom_images_must_be_over_target_alphabet():

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from oracles import determinant, symplectic_gram
-from aspherical.fpgroup import FormatError, surface_group
+from oracles import chain_relation, determinant, symplectic_gram
+from aspherical import lefschetz
+from aspherical.cli import main
+from aspherical.fpgroup import FormatError, InvalidGenus, Presentation, surface_group
 from aspherical.lefschetz import (
     HomologyClass,
     MonodromyFactorization,
@@ -12,7 +14,6 @@ from aspherical.lefschetz import (
     homology_trivial,
     monodromy_product,
     parse_factorization,
-    symplectic_pairing,
     total_space_pi1,
     twist_matrix,
 )
@@ -81,17 +82,6 @@ def test_twist_matrices_are_symplectic():
                 assert determinant(t) == 1
                 checked += 1
     assert checked >= 100
-
-
-def test_symplectic_pairing_basis():
-    a1 = HomologyClass((1, 0, 0, 0))
-    b1 = HomologyClass((0, 1, 0, 0))
-    a2 = HomologyClass((0, 0, 1, 0))
-    assert symplectic_pairing(a1, b1) == 1
-    assert symplectic_pairing(b1, a1) == -1
-    assert symplectic_pairing(a1, a2) == 0
-    with pytest.raises(DimensionMismatch):
-        symplectic_pairing(a1, HomologyClass((1, 0)))
 
 
 def test_monodromy_product_empty():
@@ -298,3 +288,41 @@ def test_parse_factorization_negative_sign():
 def test_parse_factorization_errors(text):
     with pytest.raises(FormatError):
         parse_factorization(text)
+
+
+def test_fibration_builds_no_throwaway_presentation_and_pairs_each_cycle_once(
+    monkeypatch, capsys, tmp_path
+):
+    with pytest.raises(InvalidGenus, match="negative genus"):
+        MonodromyFactorization(-1, (), ())
+    text = chain_relation(6)
+    m, _ = parse_factorization(text)
+    distinct = len({id(c) for c in m.cycles})
+    assert (len(m.cycles), distinct) == (182, 13)
+
+    counts = {"Presentation": 0, "_pairing_row": 0}
+    post_init, pairing_row = Presentation.__post_init__, lefschetz._pairing_row
+
+    def counting_post_init(self):
+        counts["Presentation"] += 1
+        post_init(self)
+
+    def counting_pairing_row(c):
+        counts["_pairing_row"] += 1
+        return pairing_row(c)
+
+    monkeypatch.setattr(Presentation, "__post_init__", counting_post_init)
+    monkeypatch.setattr(lefschetz, "_pairing_row", counting_pairing_row)
+    MonodromyFactorization(m.fiber_genus, m.cycles, m.signs)
+    assert counts == {"Presentation": 0, "_pairing_row": 0}
+    assert homology_trivial(m)
+    assert counts == {"Presentation": 0, "_pairing_row": distinct}
+
+    # The command: the surface presentation and its quotient, one
+    # monodromy fold.
+    counts.update(Presentation=0, _pairing_row=0)
+    fib = tmp_path / "chain6.txt"
+    fib.write_text(text)
+    assert main(["fibration", str(fib)]) == 0
+    assert "homology_trivial: true" in capsys.readouterr().out
+    assert counts == {"Presentation": 2, "_pairing_row": distinct}
