@@ -49,15 +49,16 @@ COVERING_NOTE_Z4 = (
 
 @dataclass(frozen=True)
 class AsphericityVerdict:
-    aspherical: bool
     reason: Reason
     realizable_dims: frozenset[int]
     pi2_forced_nonzero_in_dim4: bool
     class_note: str | None
 
+    @property
+    def aspherical(self) -> bool:
+        return self.reason in _ASPHERICAL_REASONS
+
     def __post_init__(self):
-        if self.aspherical != (self.reason in _ASPHERICAL_REASONS):
-            raise ValueError("verdict flag contradicts its reason")
         if bool(self.realizable_dims) != self.aspherical:
             raise ValueError("realizable dimensions must be nonempty exactly when aspherical")
 
@@ -120,7 +121,6 @@ def classify(gamma: FgAbelian) -> AsphericityVerdict:
     else:
         class_note = None
     return AsphericityVerdict(
-        aspherical=aspherical,
         reason=reason,
         realizable_dims=realizable_dimensions(gamma),
         pi2_forced_nonzero_in_dim4=hopf_obstruction_dim4(gamma) if aspherical else False,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .asphericity import Reason, classify
 from .fpgroup import (
     GroupHom,
     InvalidGenus,
@@ -47,6 +48,14 @@ class NotAspherical(ValueError):
         self.reason = reason
 
 
+# What `witness_presentation` says for each reason `classify` rejects.
+_NOT_ASPHERICAL = {
+    Reason.RANK_ZERO_OR_ONE: "free rank 0 or 1",
+    Reason.RANK_TWO_WITH_TORSION: "free rank 2 with torsion",
+    Reason.RANK_THREE: "free rank 3",
+}
+
+
 @dataclass(frozen=True)
 class SurfaceFiberedPresentation:
     """A presentation on the fiber surface generators a_1,b_1,...,a_f,b_f
@@ -58,8 +67,7 @@ class SurfaceFiberedPresentation:
 
     def __post_init__(self):
         p, g = self.presentation, self.fiber_genus
-        names = [f"{c}{i + 1}" for i in range(g) for c in ("a", "b")]
-        if g < 0 or [x.name for x in p.generators] != names:
+        if g < 0 or p.generators != surface_generators(g):
             raise NotSurfaceFibered(
                 f"generators must be exactly those of the genus-{g} surface group, in order"
             )
@@ -162,22 +170,14 @@ def witness_presentation(gamma: FgAbelian) -> Presentation:
     `fiber_sum_with_trivial_bundle`, each written once, directly over the
     final generators a_1,...,b_g, x_1, y_1.  Everything else is rejected.
     """
-    m = gamma.free_rank
+    reason = classify(gamma).reason
+    if reason in _NOT_ASPHERICAL:
+        raise NotAspherical(_NOT_ASPHERICAL[reason])
     label = f"witness {gamma.render()}"
-    if gamma == FgAbelian(2):
+    if reason is Reason.IS_Z2:
         gens = surface_generators(1)
         return Presentation(gens, (surface_relator(gens),), label=label)
-    if m < 2:
-        reason = "free rank 0 or 1"
-    elif m == 2:
-        reason = "free rank 2 with torsion"
-    elif m == 3:
-        reason = "free rank 3"
-    else:
-        reason = None
-    if reason is not None:
-        raise NotAspherical(reason)
-    torsion = gamma.torsion
+    m, torsion = gamma.free_rank, gamma.torsion
     if m + len(torsion) > _MAX_WITNESS_GENERATORS:
         raise ValueError(
             f"free rank plus torsion factors is {m + len(torsion)}, over the "

@@ -15,6 +15,7 @@ presented group is not attempted.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import zlinalg
@@ -185,7 +186,7 @@ def free_product(p: Presentation, q: Presentation) -> Presentation:
     return Presentation(gens, relators)
 
 
-def quotient_by_normal_closure(p: Presentation, ws: list[Word]) -> Presentation:
+def quotient_by_normal_closure(p: Presentation, ws: Iterable[Word]) -> Presentation:
     """Extend p's relators by the cyclically reduced words ws."""
     extra = []
     for w in ws:

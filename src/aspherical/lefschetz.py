@@ -1,12 +1,12 @@
 """Monodromy factorizations of Lefschetz fibrations over the sphere.
 
-Vanishing cycles are words on the fiber surface group together with
-their homology classes.  The homological monodromy of a Dehn twist is
-the transvection x -> x + sign * <x, c> * c in the standard symplectic
-basis a_1, b_1, ..., a_g, b_g.  Only this homological shadow is
-computed; whether a twist product is isotopic to the identity is
-checked at the homology level alone, and every report derived from it
-says so.
+A vanishing cycle is its cyclically reduced word on the fiber surface
+group; its homology class is the word's exponent sums, coordinates in
+the standard symplectic basis a_1, b_1, ..., a_g, b_g.  The homological
+monodromy of a Dehn twist is the transvection x -> x + sign * <x, c> * c.
+Only this homological shadow is computed; whether a twist product is
+isotopic to the identity is checked at the homology level alone, and
+every report derived from it says so.
 """
 
 from __future__ import annotations
@@ -26,42 +26,13 @@ from .zlinalg import DimensionMismatch, IntMatrix
 
 
 @dataclass(frozen=True)
-class HomologyClass:
-    """An H_1 class on the genus-g fiber, coordinates in a_1,b_1,...,a_g,b_g."""
-
-    coordinates: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coordinates) % 2:
-            raise DimensionMismatch("odd coordinate length")
-
-    @property
-    def genus(self) -> int:
-        return len(self.coordinates) // 2
-
-
-@dataclass(frozen=True)
-class VanishingCycle:
-    word: Word
-    homology: HomologyClass
-
-    def __post_init__(self):
-        if exponent_vector(self.word) != self.homology.coordinates:
-            raise ValueError("homology class does not match the word's exponent sums")
-
-    @classmethod
-    def from_word(cls, w: Word) -> "VanishingCycle":
-        w = cyclic_reduce(w)
-        return cls(w, HomologyClass(exponent_vector(w)))
-
-
-@dataclass(frozen=True)
 class MonodromyFactorization:
     """Ordered Dehn-twist data on a genus-h fiber; leftmost twist acts first.
-    `fiber` is the fiber alphabet: the cycles' tuple when they share one."""
+    Each cycle is a word over the fiber alphabet `fiber`: the cycles'
+    tuple when they share one."""
 
     fiber_genus: int
-    cycles: tuple[VanishingCycle, ...]
+    cycles: tuple[Word, ...]
     signs: tuple[int, ...]
     fiber: tuple[Generator, ...] = field(init=False, repr=False, compare=False)
 
@@ -74,31 +45,31 @@ class MonodromyFactorization:
             raise InvalidGenus("negative genus")
         fiber = surface_generators(self.fiber_genus)
         for c in self.cycles:
-            if c.word.alphabet is not fiber:
-                if c.word.alphabet != fiber:
+            if c.alphabet is not fiber:
+                if c.alphabet != fiber:
                     raise ValueError("cycle word is not over the fiber surface generators")
-                fiber = c.word.alphabet
+                fiber = c.alphabet
         object.__setattr__(self, "fiber", fiber)
 
 
-def _pairing_row(c: HomologyClass) -> tuple[int, ...]:
+def _pairing_row(c: tuple[int, ...]) -> tuple[int, ...]:
     """The row vector of x -> <x, c>: J c for the block diagonal pairing
     J = [[0, 1], [-1, 0]] of the a_i, b_i basis."""
-    out = []
-    for i in range(c.genus):
-        out += (c.coordinates[2 * i + 1], -c.coordinates[2 * i])
-    return tuple(out)
+    return tuple(x for i in range(0, len(c), 2) for x in (c[i + 1], -c[i]))
 
 
-def twist_matrix(c: HomologyClass, sign: int) -> IntMatrix:
-    """Picard-Lefschetz transvection x -> x + sign * <x, c> * c."""
+def twist_matrix(c: tuple[int, ...], sign: int) -> IntMatrix:
+    """Picard-Lefschetz transvection x -> x + sign * <x, c> * c for the
+    class with coordinates c in a_1, b_1, ..., a_g, b_g."""
+    if len(c) % 2:
+        raise DimensionMismatch("odd coordinate length")
     if sign not in (1, -1):
         raise ValueError(f"sign {sign}")
-    n = len(c.coordinates)
+    n = len(c)
     jc = _pairing_row(c)
     rows = [
         [
-            (1 if i == j else 0) + sign * c.coordinates[i] * jc[j]
+            (1 if i == j else 0) + sign * c[i] * jc[j]
             for j in range(n)
         ]
         for i in range(n)
@@ -116,16 +87,18 @@ def monodromy_product(m: MonodromyFactorization) -> IntMatrix:
     """
     n = 2 * m.fiber_genus
     product = IntMatrix.identity(n).to_rows()
-    rows: dict[int, tuple[int, ...]] = {}  # by cycle object: repeated cycles are shared
+    # class and pairing row by cycle object: repeated cycles are shared
+    by_cycle: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for cycle, sign in zip(m.cycles, m.signs):
-        jc = rows.get(id(cycle))
-        if jc is None:
-            jc = rows[id(cycle)] = _pairing_row(cycle.homology)
+        if id(cycle) not in by_cycle:
+            c = exponent_vector(cycle)
+            by_cycle[id(cycle)] = c, _pairing_row(c)
+        c, jc = by_cycle[id(cycle)]
         pairing = [0] * n
         for k, x in enumerate(jc):
             if x:
                 pairing = [p + x * v for p, v in zip(pairing, product[k])]
-        for i, ci in enumerate(cycle.homology.coordinates):
+        for i, ci in enumerate(c):
             if ci:
                 scale = sign * ci
                 product[i] = [v + scale * p for v, p in zip(product[i], pairing)]
@@ -152,7 +125,7 @@ def total_space_pi1(m: MonodromyFactorization, trivial: bool | None = None) -> P
         label += " [caveat: monodromy product is not homologically trivial]"
     fiber = m.fiber
     surface = Presentation(fiber, (surface_relator(fiber),) if fiber else (), label=label)
-    return quotient_by_normal_closure(surface, [c.word for c in m.cycles])
+    return quotient_by_normal_closure(surface, m.cycles)
 
 
 def euler_characteristic(m: MonodromyFactorization) -> int:
@@ -168,8 +141,8 @@ def parse_factorization(text: str) -> tuple[MonodromyFactorization, str | None]:
     factorization and the label.  A repeated cycle text is parsed once."""
     label: str | None = None
     genus: int | None = None
-    cycles: list[VanishingCycle] = []
-    parsed: dict[str, VanishingCycle] = {}
+    cycles: list[Word] = []
+    parsed: dict[str, Word] = {}
     signs: list[int] = []
     fiber = None
     seen_fibration = False
@@ -210,7 +183,7 @@ def parse_factorization(text: str) -> tuple[MonodromyFactorization, str | None]:
                     w = parse_word(word_text, fiber)
                 except ValueError as e:
                     raise FormatError(f"line {lineno}: {e}") from e
-                parsed[word_text] = VanishingCycle.from_word(w)
+                parsed[word_text] = cyclic_reduce(w)
             cycles.append(parsed[word_text])
             signs.append(1 if sign_tok == "+" else -1)
         else:

@@ -21,9 +21,7 @@ from aspherical.fibersum import (
 )
 from aspherical.fpgroup import Presentation, surface_group
 from aspherical.lefschetz import (
-    HomologyClass,
     MonodromyFactorization,
-    VanishingCycle,
     homology_trivial,
     monodromy_product,
     total_space_pi1,
@@ -173,7 +171,7 @@ def test_criterion_7_lefschetz_quotients_and_twists():
         pi2 = surface_group(2)
         kill_all = MonodromyFactorization(
             2,
-            tuple(VanishingCycle.from_word(pi2.word(t)) for t in ("a1", "b1", "a2", "b2")),
+            tuple(pi2.word(t) for t in ("a1", "b1", "a2", "b2")),
             (1, 1, 1, 1),
         )
         assert abelianization(total_space_pi1(kill_all)) == FgAbelian(0)
@@ -184,12 +182,12 @@ def test_criterion_7_lefschetz_quotients_and_twists():
         for _ in range(100):
             g = rng.randrange(1, 5)
             j = symplectic_gram(g)
-            c = HomologyClass(tuple(rng.randint(-4, 4) for _ in range(2 * g)))
+            c = tuple(rng.randint(-4, 4) for _ in range(2 * g))
             t = twist_matrix(c, rng.choice((1, -1)))
             assert t.transpose().mul(j).mul(t) == j
             assert determinant(t) == 1
         pi1 = surface_group(1)
-        pair = [VanishingCycle.from_word(pi1.word("a1")), VanishingCycle.from_word(pi1.word("b1"))]
+        pair = [pi1.word("a1"), pi1.word("b1")]
         sixth = MonodromyFactorization(1, tuple(pair * 6), (1,) * 12)
         assert monodromy_product(sixth) == IntMatrix.identity(2)
         assert homology_trivial(sixth)

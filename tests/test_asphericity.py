@@ -70,12 +70,11 @@ def test_classification_exhaustive_small_range():
 
 
 def test_verdict_invariants_enforced():
+    assert AsphericityVerdict(Reason.IS_Z2, frozenset({2}), False, None).aspherical
     with pytest.raises(ValueError):
-        AsphericityVerdict(True, Reason.RANK_THREE, frozenset({4}), False, None)
+        AsphericityVerdict(Reason.RANK_THREE, frozenset({4}), False, None)
     with pytest.raises(ValueError):
-        AsphericityVerdict(True, Reason.IS_Z2, frozenset(), False, None)
-    with pytest.raises(ValueError):
-        AsphericityVerdict(False, Reason.RANK_THREE, frozenset({4}), False, None)
+        AsphericityVerdict(Reason.IS_Z2, frozenset(), False, None)
 
 
 def test_realizable_dimensions_examples():

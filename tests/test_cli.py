@@ -403,6 +403,9 @@ _GOLDEN = [
     (("witness", "Z^30+Z/2+Z/4"), 0, "29f474dcdc805cea743fbb1ab2699bbff14b9fe77f402244fab35967f1f448f7", "d91bb18fc9aeb31155adc155843c0fe799561a2b490baa19e526b176ea17e60a"),
     (("classify", f"Z^4+{_Z2_400}"), 0, "9eeebf85f98cdf9d57cd8e040fc7d3d6ac0346b9db8d57feffd7140a707c7f60", "64a9b2e7bd402aa5241e9b77802c030c5c6ada5b497ab02e4e1fb627aad1fb5e"),
     (("homology", "Z^3+Z/6+Z/30+Z/210", "8"), 0, "8b246920af1e92b7e406801103c2c27edc274430c0ab65b521ef271f050b80c6", "494b7f1d149a2349be485bc0e09b3d101d7813fc82a0116108fb77233b67012a"),
+    (("witness", "Z^2"), 0, "448881acaabec7be73de33214a57b81a825d164ae17c0bf70d9dc6bf1f22dc47", "1d856dfc41ae167a90537c94aab7e1cbf83f501ae02fc4f920975e5f1516e994"),
+    (("witness", "Z"), 3, "8a01f85d50e2ffacb2ce20cfb08b69555ef28857f346026aa88291af0b142443", "eca6eb3089f7ac97cac604e02da7e8283efab82d9f4fa4a2d9915c47012dd3f0"),
+    (("witness", "Z^2+Z/2"), 3, "7dfedbf110da412420ddf2b5e16fd6e977d833cb620a047532c8216d35130d84", "5420e44e0d21f7af0f063068e18379813e31fb1b054cb4f2cd6f998280819353"),
 ]
 
 
@@ -440,11 +443,14 @@ _DENSE_MATRICES = {
 }
 
 # (test id, argv, ...) and otherwise the layout of _GOLDEN, for commands
-# that read a file: `fib.txt` and `fib6.txt` hold the chain relation on
-# the genus-1 and genus-6 fiber, `pi1.txt` and `pi1_6.txt` the
-# pi1_presentation each prints, and the `_DENSE_MATRICES` files their
-# dense matrices.  The dense `snf` digests were recorded from the Smith
-# form that carried U and V forward through every operation.
+# that read a file: `fib.txt` and `fib<g>.txt` hold the chain relation on
+# the genus-1 and genus-g fiber, `pi1.txt` and `pi1_6.txt` the
+# pi1_presentation each prints, `_SMALL_FILES` and the `_DENSE_MATRICES`
+# files their text.  The dense `snf` digests were recorded from the Smith
+# form that carried U and V forward through every operation, the
+# genus-2..5, one-cycle, empty, genus-2 fibersum and small `snf` rows from
+# the implementation that stored each vanishing cycle's homology class
+# beside its word.
 _GOLDEN_FILES = [
     ("snf", ("snf", "m.txt"), 0, "5b1dbdb76e207caf99157e171ccaeadd6e0dbe83c9c781097f6e181f791cad9b", "8f42b32aeaadc8044f83ccb705bcbdba0aebbdf594a3dd9855846dae835ac415"),
     ("snf dense 14x14", ("snf", "dense14.txt"), 0, "659e9164baf0db6163b81f911edbf8f7b08a928424bd0d169ba232edb07e9bfa", "ae31691cc8f21945fda0ffddf8fcdca067158a5c5e267bb8884bcd6e5d4da964"),
@@ -455,7 +461,24 @@ _GOLDEN_FILES = [
     ("fibersum", ("fibersum", "pi1.txt", "-e", "2"), 0, "298da50736c593d425e5dee720fdaa6a9c890055b01f1085bc43c0c46e7e3c2b", "01ac6a38b0f1dfb0e1abe2a7585d881a600110983edf41e8b0f3132334266aec"),
     ("fibration genus 6", ("fibration", "fib6.txt"), 0, "d7b3a67e804ed628f4d74be4ebec3746f643a06a57e0ea80b9d8999a04847c71", "3452b07234bc532620570f8ddd01a51a3d13c03fc32e3b6e776f0f57ee6fdd59"),
     ("fibersum genus 6 -e 4", ("fibersum", "pi1_6.txt", "-e", "4"), 0, "5f35e65f68a0dd0a57276edce2cf6d1f1b7ab9976fc99bee1a91d0e93f7619c1", "c0821146ec954ce0dfe20276b4a66ff1cdbd2847198cc479bbe2a85798154170"),
+    ("fibration genus 2", ("fibration", "fib2.txt"), 0, "13e6559c6213aabdd8ae49b6583e2211d13a8dad805f2564da572eb803e1b7ce", "f537668da7e7dda3f066a904dc8ad7dd16515725e5ac98c3d0fe6c950816542e"),
+    ("fibration genus 3", ("fibration", "fib3.txt"), 0, "280dc72a44bf4622d3197f2a41f58a6420c8961a0acbd8f0c540ee16bf035dbe", "9d760a43d07690dc1d7f726e2a8f7b5785f450527b5203ee2bd9290ed7a8ce2d"),
+    ("fibration genus 4", ("fibration", "fib4.txt"), 0, "cd499cf4fccaae8035eab8e7f4da29323be3b63370fbf27b16401896eb0fd0ca", "2f1ae0607acd3bfed0041190c9791c25478bf2d60374b6ef0e547927c3d99160"),
+    ("fibration genus 5", ("fibration", "fib5.txt"), 0, "e79b206ab5ab25255e00af6210c2f4ef30a7f9afe0f2371db8828c017495bca3", "a0cef05486365d7730cf1b046e6296ff07915eddb73f1f429606f38d728bacc0"),
+    ("fibration one cycle caveat", ("fibration", "caveat.txt"), 0, "5ad60d49c5a7313e1f940a39b71615822a28e225e54429fc906e5e6546bf1d08", "ce3944b4a5171878bd7a8a7e9f074e2c5e270ff68f97b9a1a616bbe4050754fc"),
+    ("fibration empty", ("fibration", "empty.txt"), 0, "dcd7ff692f65f3e3215511294377951a9c28113d17f73d137038a80707a19f2b", "a0360da770a31867193d689ec920a3aab69f93eaa8787d6b94c8c795d7c629a9"),
+    ("fibersum genus 2 -e 2", ("fibersum", "fibered2.txt", "-e", "2"), 0, "872a1e9bf98415c5b4eb6f7f79dce508306a65e26c36c5355aaad667c62af919", "e7d057b488fbe86d678fc3caae462ae27f0f20624fa03102079b7271b5789e8d"),
+    ("snf 2x3", ("snf", "m23.txt"), 0, "93c00950ea6abfef901090994569590a84aff58b348541071ceced7fa87e622e", "481dd1e4661b2f24553140fe75dc2dd8ea5d92094a217b745bb96bf390ad88e4"),
+    ("snf 3x3 diagonal", ("snf", "m33.txt"), 0, "c0a07c7f9bb37bf7d88a91609c9e77e7ad3936582df0285400a51ac36ad47c7f", "59b160219fb52f490d72a4ece3d815b2841f0123d3cdd5f3fa2755f10e605188"),
 ]
+
+_SMALL_FILES = {
+    "caveat.txt": "fibration one\nfiber_genus 1\ncycle + a1\n",
+    "empty.txt": "fibration empty\nfiber_genus 2\n",
+    "fibered2.txt": "group x\ngens a1 b1 a2 b2\nrel a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1\nrel a2^2\n",
+    "m23.txt": "2 4 1\n6 8 3\n",
+    "m33.txt": "6 0 0\n0 4 0\n0 0 10\n",
+}
 
 
 @pytest.mark.parametrize(
@@ -467,6 +490,10 @@ def test_golden_stdout_from_files(capsys, tmp_path, argv, code, text_sha, json_s
     (tmp_path / "m.txt").write_text(_MATRIX_4X4)
     for name, args in _DENSE_MATRICES.items():
         (tmp_path / name).write_text(_dense_matrix_text(*args))
+    for name, text in _SMALL_FILES.items():
+        (tmp_path / name).write_text(text)
+    for g in range(2, 6):
+        (tmp_path / f"fib{g}.txt").write_text(chain_relation(g))
     for fib, pi1, g in (("fib.txt", "pi1.txt", 1), ("fib6.txt", "pi1_6.txt", 6)):
         (tmp_path / fib).write_text(chain_relation(g))
         _, out, _ = run(capsys, "--format", "json", "fibration", str(tmp_path / fib))

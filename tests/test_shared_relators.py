@@ -1,7 +1,7 @@
 """Repeated relators are shared objects, built and validated once.
 
 A fibration's chain relation repeats every vanishing cycle 2g+2 times.
-Parsing keeps one `Word` (or `VanishingCycle`) per distinct line, the
+Parsing keeps one `Word` per distinct `rel` or `cycle` line, the
 sharing survives `cyclic_reduce`, the quotient and the fiber sum, and
 rendering and abelianizing visit each object once.  These tests check
 that the shared path gives what the unshared one did, and that
@@ -42,6 +42,7 @@ from aspherical.word import (
     Generator,
     commutator,
     cyclic_reduce,
+    exponent_vector,
     generator_word,
     parse_word,
     render_word,
@@ -139,7 +140,7 @@ def test_chain_relation_cycles_stay_shared_through_the_constructions(g):
     m, _ = parse_factorization(text)
     assert len(m.cycles) == (2 * g + 1) * (2 * g + 2)
     assert _distinct(m.cycles) == len(lines)
-    assert all(c.word.alphabet is m.fiber for c in m.cycles)
+    assert all(c.alphabet is m.fiber for c in m.cycles)
     pi1 = total_space_pi1(m)
     assert pi1.generators is m.fiber
     assert _distinct(pi1.relators) == len(lines) + 1
@@ -147,7 +148,7 @@ def test_chain_relation_cycles_stay_shared_through_the_constructions(g):
     extra = total.relators[2 + 8 * g :]
     assert len(extra) == len(m.cycles)
     assert _distinct(extra) == len(lines)
-    assert [w.letters for w in extra] == [c.word.letters for c in m.cycles]
+    assert [w.letters for w in extra] == [c.letters for c in m.cycles]
 
 
 @pytest.mark.parametrize("g", range(1, 7))
@@ -156,7 +157,7 @@ def test_chain_relation_monodromy_equals_the_dense_twist_fold(g):
     m, _ = parse_factorization(chain_relation(g))
     dense = IntMatrix.identity(2 * g)
     for k, (c, s) in enumerate(zip(m.cycles, m.signs), start=1):
-        dense = twist_matrix(c.homology, s).mul(dense)
+        dense = twist_matrix(exponent_vector(c), s).mul(dense)
         if k in (1, 2 * g, 2 * g + 3, len(m.cycles) - 1):
             prefix = MonodromyFactorization(g, m.cycles[:k], m.signs[:k])
             assert monodromy_product(prefix) == dense != IntMatrix.identity(2 * g)
