@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 
-from .word import _MAX_HOMOLOGY_SUMMANDS
+from .word import _MAX_HOMOLOGY_SUMMANDS, _Value
 from .zlinalg import FgAbelian
 
 DEFAULT_DEGREE_CAP = 8
@@ -42,11 +41,13 @@ class InsufficientDegrees(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GradedAbelian:
+class GradedAbelian(_Value):
     """Homology groups indexed by degree 0..N."""
 
-    groups: tuple[FgAbelian, ...]
+    __slots__ = _fields = ("groups",)
+
+    def __init__(self, groups: tuple[FgAbelian, ...]):
+        object.__setattr__(self, "groups", groups)
 
     @property
     def top_degree(self) -> int:

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .abhomology import invariant_factor_counts
+from .word import _Value
 from .zlinalg import FgAbelian
 
 
@@ -47,20 +47,21 @@ COVERING_NOTE_Z4 = (
 )
 
 
-@dataclass(frozen=True)
-class AsphericityVerdict:
-    reason: Reason
-    realizable_dims: frozenset[int]
-    pi2_forced_nonzero_in_dim4: bool
-    class_note: str | None
+class AsphericityVerdict(_Value):
+    __slots__ = _fields = ("reason", "realizable_dims", "pi2_forced_nonzero_in_dim4", "class_note")
+
+    def __init__(self, reason: Reason, realizable_dims: frozenset[int],
+                 pi2_forced_nonzero_in_dim4: bool, class_note: str | None):
+        if bool(realizable_dims) != (reason in _ASPHERICAL_REASONS):
+            raise ValueError("realizable dimensions must be nonempty exactly when aspherical")
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "realizable_dims", realizable_dims)
+        object.__setattr__(self, "pi2_forced_nonzero_in_dim4", pi2_forced_nonzero_in_dim4)
+        object.__setattr__(self, "class_note", class_note)
 
     @property
     def aspherical(self) -> bool:
         return self.reason in _ASPHERICAL_REASONS
-
-    def __post_init__(self):
-        if bool(self.realizable_dims) != self.aspherical:
-            raise ValueError("realizable dimensions must be nonempty exactly when aspherical")
 
 
 def realizable_dimensions(gamma: FgAbelian) -> frozenset[int]:
@@ -98,31 +99,30 @@ def covering_note(gamma: FgAbelian) -> str | None:
     return None
 
 
-def classify(gamma: FgAbelian) -> AsphericityVerdict:
-    """Apply the classification.  The real cohomological dimension of an
-    abelian group is its free rank (real cohomology is the exterior
-    algebra on the free part), so the rank-3 obstruction reads it off."""
+def classify_reason(gamma: FgAbelian) -> Reason:
+    """The classification's verdict alone.  The real cohomological
+    dimension of an abelian group is its free rank (real cohomology is the
+    exterior algebra on the free part), so the rank-3 obstruction reads it off."""
     rcd = gamma.free_rank
     if gamma == FgAbelian(2):
-        reason = Reason.IS_Z2
-    elif rcd >= 4:
-        reason = Reason.RANK_AT_LEAST_4
-    elif rcd == 3:
-        reason = Reason.RANK_THREE
-    elif rcd == 2:
-        reason = Reason.RANK_TWO_WITH_TORSION
-    else:
-        reason = Reason.RANK_ZERO_OR_ONE
-    aspherical = reason in _ASPHERICAL_REASONS
-    if gamma == FgAbelian(2):
+        return Reason.IS_Z2
+    if rcd >= 4:
+        return Reason.RANK_AT_LEAST_4
+    if rcd == 3:
+        return Reason.RANK_THREE
+    if rcd == 2:
+        return Reason.RANK_TWO_WITH_TORSION
+    return Reason.RANK_ZERO_OR_ONE
+
+
+def classify(gamma: FgAbelian) -> AsphericityVerdict:
+    """The verdict of `classify_reason` with what is reported alongside it."""
+    reason = classify_reason(gamma)
+    if reason is Reason.IS_Z2:
         class_note = CLASS_NOTE_Z2
     elif gamma == FgAbelian(4, (2,)):
         class_note = CLASS_NOTE_Z4_Z2
     else:
         class_note = None
-    return AsphericityVerdict(
-        reason=reason,
-        realizable_dims=realizable_dimensions(gamma),
-        pi2_forced_nonzero_in_dim4=hopf_obstruction_dim4(gamma) if aspherical else False,
-        class_note=class_note,
-    )
+    pi2 = reason in _ASPHERICAL_REASONS and hopf_obstruction_dim4(gamma)
+    return AsphericityVerdict(reason, realizable_dimensions(gamma), pi2, class_note)

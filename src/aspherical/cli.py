@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import math
 import re
 import sys
 from pathlib import Path
 
 from . import abhomology, asphericity, fibersum, lefschetz, zlinalg
 from .fpgroup import parse_presentation, render_presentation
+from .word import _MAX_TORSION_BITS, _MAX_TORSION_DIGITS
 from .zlinalg import FgAbelian
 
 SCHEMA_VERSION = 1
@@ -46,8 +47,9 @@ def parse_group_spec(text: str) -> FgAbelian:
         raise GroupSpecError("empty group spec")
     if text == "0":
         return FgAbelian(0)
-    free_rank = 0
+    free_rank, top = 0, 1  # top: the lcm of the orders so far, the largest invariant factor
     counts: dict[int, int] = {}
+    too_big = f"largest invariant factor over the limit of {_MAX_TORSION_BITS} bits"
     for term in text.split("+"):
         term = term.strip()
         if term == "Z":
@@ -61,12 +63,17 @@ def parse_group_spec(text: str) -> FgAbelian:
                 raise GroupSpecError(f"negative free rank in {term!r}")
             free_rank += r
         elif term.startswith("Z/"):
+            if len(term[2:].strip().lstrip("0")) > _MAX_TORSION_DIGITS:  # before int() reads it
+                raise GroupSpecError(too_big)
             try:
                 d = int(term[2:])
             except ValueError:
                 raise GroupSpecError(f"bad torsion part {term!r}") from None
             if d < 1:
                 raise GroupSpecError(f"torsion order must be positive in {term!r}")
+            top = math.lcm(top, d)
+            if top.bit_length() > _MAX_TORSION_BITS:
+                raise GroupSpecError(too_big)
             counts[d] = counts.get(d, 0) + 1
         else:
             raise GroupSpecError(f"cannot parse term {term!r}")
@@ -87,6 +94,7 @@ def _emit(args: argparse.Namespace, payload: dict) -> None:
     """Print the subcommand's report: JSON after the schema_version and
     command header, or one text line (or block) per key."""
     if args.format == "json":
+        import json  # here, so that a text report does not pay for importing it
         header = {"schema_version": SCHEMA_VERSION, "command": args.subcommand}
         print(json.dumps(header | payload, indent=2))
         return
@@ -172,11 +180,10 @@ def cmd_witness(args: argparse.Namespace) -> int:
     try:
         p = fibersum.witness_presentation(gamma)
     except fibersum.NotAspherical as e:
-        verdict = asphericity.classify(gamma)
         _emit(args, {
             "group": gamma.render(),
             "aspherical": False,
-            "reason": verdict.reason.value,
+            "reason": asphericity.classify_reason(gamma).value,
             "error": str(e),
         })
         return EXIT_VERDICT

@@ -9,9 +9,7 @@ level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .asphericity import Reason, classify
+from .asphericity import Reason, classify_reason
 from .fpgroup import (
     GroupHom,
     InvalidGenus,
@@ -29,6 +27,7 @@ from .word import (
     _MAX_WITNESS_GENERATORS,
     Generator,
     Word,
+    _Value,
     generator_word,
 )
 from .zlinalg import FgAbelian
@@ -48,7 +47,7 @@ class NotAspherical(ValueError):
         self.reason = reason
 
 
-# What `witness_presentation` says for each reason `classify` rejects.
+# What `witness_presentation` says for each reason the classification rejects.
 _NOT_ASPHERICAL = {
     Reason.RANK_ZERO_OR_ONE: "free rank 0 or 1",
     Reason.RANK_TWO_WITH_TORSION: "free rank 2 with torsion",
@@ -56,23 +55,23 @@ _NOT_ASPHERICAL = {
 }
 
 
-@dataclass(frozen=True)
-class SurfaceFiberedPresentation:
+class SurfaceFiberedPresentation(_Value):
     """A presentation on the fiber surface generators a_1,b_1,...,a_f,b_f
     whose first relator is the surface relator; the rest are the extra
     relators cutting the total space's fundamental group out of pi_f."""
 
-    fiber_genus: int
-    presentation: Presentation
+    __slots__ = _fields = ("fiber_genus", "presentation")
 
-    def __post_init__(self):
-        p, g = self.presentation, self.fiber_genus
+    def __init__(self, fiber_genus: int, presentation: Presentation):
+        p, g = presentation, fiber_genus
         if g < 0 or p.generators != surface_generators(g):
             raise NotSurfaceFibered(
                 f"generators must be exactly those of the genus-{g} surface group, in order"
             )
         if not p.relators or p.relators[0] != surface_relator(p.generators):
             raise NotSurfaceFibered("first relator must be the surface relator")
+        object.__setattr__(self, "fiber_genus", fiber_genus)
+        object.__setattr__(self, "presentation", presentation)
 
     @property
     def extra_relators(self) -> tuple[Word, ...]:
@@ -170,7 +169,7 @@ def witness_presentation(gamma: FgAbelian) -> Presentation:
     `fiber_sum_with_trivial_bundle`, each written once, directly over the
     final generators a_1,...,b_g, x_1, y_1.  Everything else is rejected.
     """
-    reason = classify(gamma).reason
+    reason = classify_reason(gamma)
     if reason in _NOT_ASPHERICAL:
         raise NotAspherical(_NOT_ASPHERICAL[reason])
     label = f"witness {gamma.render()}"

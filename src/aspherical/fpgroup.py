@@ -16,13 +16,13 @@ presented group is not attempted.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from . import zlinalg
 from .word import (
     Generator,
     UnknownGenerator,
     Word,
+    _Value,
     _free_reduce,
     _inv,
     _render_letters,
@@ -51,37 +51,42 @@ class FormatError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(_Value):
     """Generators plus relator words; relators stay cyclically reduced."""
 
-    generators: tuple[Generator, ...]
-    relators: tuple[Word, ...]
-    label: str | None = None
+    __slots__ = _fields = ("generators", "relators", "label")
 
-    def __post_init__(self):
-        names = [g.name for g in self.generators]
+    def __init__(
+        self, generators: tuple[Generator, ...], relators: tuple[Word, ...], label: str | None = None
+    ):
+        names = [g.name for g in generators]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate generator names in {names}")
-        if self.label is not None and "\n" in self.label:
+        if label is not None and "\n" in label:
             raise ValueError("label must be a single line")
-        for r in self.relators:
-            if r.alphabet is not self.generators and r.alphabet != self.generators:
+        for r in relators:
+            if r.alphabet is not generators and r.alphabet != generators:
                 raise ValueError("relator over a different alphabet")
             if r.letters and r.letters[0] == (r.letters[-1][0], -r.letters[-1][1]):
                 raise ValueError(f"relator {render_word(r)!r} is not cyclically reduced")
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relators", relators)
+        object.__setattr__(self, "label", label)
 
     def word(self, text: str) -> Word:
         return parse_word(text, self.generators)
 
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(_Value):
     """A homomorphism given by one target word per source generator."""
 
-    source: Presentation
-    target: Presentation
-    images: tuple[Word, ...]
+    __slots__ = _fields = ("source", "target", "images")
+
+    def __init__(self, source: Presentation, target: Presentation, images: tuple[Word, ...]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "images", images)
+        self.__post_init__()  # a method of its own: perfbench/tracing.py times the check
 
     def __post_init__(self):
         if len(self.images) != len(self.source.generators):

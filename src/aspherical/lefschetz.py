@@ -11,8 +11,6 @@ every report derived from it says so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .fpgroup import (
     FormatError,
     InvalidGenus,
@@ -21,34 +19,34 @@ from .fpgroup import (
     surface_generators,
     surface_relator,
 )
-from .word import _MAX_FIBER_GENUS, Generator, Word, cyclic_reduce, exponent_vector, parse_word
+from .word import _MAX_FIBER_GENUS, Word, _Value, cyclic_reduce, exponent_vector, parse_word
 from .zlinalg import DimensionMismatch, IntMatrix
 
 
-@dataclass(frozen=True)
-class MonodromyFactorization:
+class MonodromyFactorization(_Value):
     """Ordered Dehn-twist data on a genus-h fiber; leftmost twist acts first.
     Each cycle is a word over the fiber alphabet `fiber`: the cycles'
-    tuple when they share one."""
+    tuple when they share one.  `fiber` is derived, so it is not compared."""
 
-    fiber_genus: int
-    cycles: tuple[Word, ...]
-    signs: tuple[int, ...]
-    fiber: tuple[Generator, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("fiber_genus", "cycles", "signs")
+    __slots__ = _fields + ("fiber",)
 
-    def __post_init__(self):
-        if len(self.cycles) != len(self.signs):
+    def __init__(self, fiber_genus: int, cycles: tuple[Word, ...], signs: tuple[int, ...]):
+        if len(cycles) != len(signs):
             raise ValueError("one sign per cycle required")
-        if any(s not in (1, -1) for s in self.signs):
+        if any(s not in (1, -1) for s in signs):
             raise ValueError("signs must be +1 or -1")
-        if self.fiber_genus < 0:
+        if fiber_genus < 0:
             raise InvalidGenus("negative genus")
-        fiber = surface_generators(self.fiber_genus)
-        for c in self.cycles:
+        fiber = surface_generators(fiber_genus)
+        for c in cycles:
             if c.alphabet is not fiber:
                 if c.alphabet != fiber:
                     raise ValueError("cycle word is not over the fiber surface generators")
                 fiber = c.alphabet
+        object.__setattr__(self, "fiber_genus", fiber_genus)
+        object.__setattr__(self, "cycles", cycles)
+        object.__setattr__(self, "signs", signs)
         object.__setattr__(self, "fiber", fiber)
 
 

@@ -26,10 +26,40 @@ by identity within the call), so each distinct word is validated once.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 _IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
+
+
+class _Value:
+    """An immutable value, in place of a frozen dataclass, whose import costs
+    a cold start more than `classify` does.  A subclass lists its fields in
+    `__slots__` and those that equality, hashing and the repr read in
+    `_fields`, and sets them in `__init__` with `object.__setattr__`."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls._fields)  # read in C: equality is on hot paths
+
+    def _immutable(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class WordSyntaxError(ValueError):
@@ -50,29 +80,27 @@ class AlphabetMismatch(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(_Value):
     """A named generator.  Names follow the ident grammar above."""
 
-    name: str
+    __slots__ = _fields = ("name",)
 
-    def __post_init__(self):
-        if not _IDENT_RE.match(self.name):
-            raise ValueError(f"invalid generator name {self.name!r}")
+    def __init__(self, name: str):
+        if not _IDENT_RE.match(name):
+            raise ValueError(f"invalid generator name {name!r}")
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Value):
     """A freely reduced word: letters are (generator index, sign) pairs."""
 
-    alphabet: tuple[Generator, ...]
-    letters: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("alphabet", "letters")
 
-    def __post_init__(self):
-        n = len(self.alphabet)
+    def __init__(self, alphabet: tuple[Generator, ...], letters: tuple[tuple[int, int], ...]):
+        n = len(alphabet)
         pi = ps = None  # the previous letter
         k = 0  # counted by hand: enumerate made this loop a third slower
-        for i, s in self.letters:
+        for i, s in letters:
             if not 0 <= i < n:
                 raise ValueError(f"letter {k} references generator {i} of {n}")
             if s not in (1, -1):
@@ -81,6 +109,8 @@ class Word:
                 raise ValueError("word is not freely reduced")
             pi, ps = i, s
             k += 1
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -233,6 +263,11 @@ _MAX_BASE_GENUS = 1024
 _MAX_GENUS_PRODUCT = 1 << 14
 _MAX_FIBER_GENUS = 512
 _MAX_HOMOLOGY_SUMMANDS = 1 << 20
+# A group spec's largest invariant factor, the lcm of its torsion orders, may
+# take 4300 log2(10) bits, so that every factor prints within Python's
+# 4300-digit int-to-str limit.  A term of more digits is refused unparsed.
+_MAX_TORSION_BITS = 14284
+_MAX_TORSION_DIGITS = 4300
 
 
 class _Parser:

@@ -22,10 +22,9 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .word import exponent_vector
+from .word import _Value, exponent_vector
 
 if TYPE_CHECKING:
     from .fpgroup import GroupHom, Presentation
@@ -35,19 +34,19 @@ class DimensionMismatch(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(_Value):
     """A rows x cols integer matrix, entries stored row-major."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = _fields = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]):
+        if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match dimensions")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -122,13 +121,15 @@ def parse_matrix(text: str) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(_Value):
     """u * a * v = d with u, v unimodular and d diagonal in divisor-chain form."""
 
-    d: IntMatrix
-    u: IntMatrix
-    v: IntMatrix
+    __slots__ = _fields = ("d", "u", "v")
+
+    def __init__(self, d: IntMatrix, u: IntMatrix, v: IntMatrix):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -368,28 +369,28 @@ def _chain_from_counts(counts: Mapping[int, int]) -> tuple[int, ...]:
     return tuple(chain)
 
 
-@dataclass(frozen=True)
-class FgAbelian:
+class FgAbelian(_Value):
     """Z^free_rank plus torsion in invariant-factor (divisor chain) form.
 
     Equality of values is isomorphism of groups.
     """
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = _fields = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
+        if free_rank < 0:
             raise ValueError("negative free rank")
         prev = None
-        for d in self.torsion:
+        for d in torsion:
             if d == prev:  # an equal neighbour passed both checks already
                 continue
             if d < 2:
                 raise ValueError(f"invariant factor {d} < 2")
             if prev is not None and d % prev:
-                raise ValueError(f"broken divisor chain {self.torsion}")
+                raise ValueError(f"broken divisor chain {torsion}")
             prev = d
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
 
     @classmethod
     def from_counts(cls, free_rank: int, counts: Mapping[int, int]) -> "FgAbelian":

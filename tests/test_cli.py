@@ -4,11 +4,15 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from oracles import chain_relation, reference_from_cyclic_orders
+from aspherical import cli, zlinalg
 from aspherical.cli import GroupSpecError, main, parse_group_spec
 from aspherical.word import (
     _MAX_BASE_GENUS,
@@ -16,6 +20,8 @@ from aspherical.word import (
     _MAX_GENUS_PRODUCT,
     _MAX_HOMOLOGY_SUMMANDS,
     _MAX_PARSED_LETTERS,
+    _MAX_TORSION_BITS,
+    _MAX_TORSION_DIGITS,
     _MAX_WITNESS_GENERATORS,
 )
 from aspherical.zlinalg import FgAbelian
@@ -605,3 +611,74 @@ def test_witness_of_rank_40_in_bounded_time(capsys):
     assert code == 0
     assert "abelianization: Z^40\n" in out
     assert "abelianization_check: PASS" in out
+
+
+def _no_normalisation(*args):
+    raise AssertionError("a rejected spec reached the normaliser")
+
+
+def test_group_spec_over_the_torsion_limit_exits_2_before_any_work(capsys, monkeypatch):
+    # 200 random 31-digit orders have an lcm of about 20,600 bits: the
+    # spec used to be normalised in full, and then its largest invariant
+    # factor failed to print past Python's 4300-digit limit.
+    rng = random.Random(4300)
+    orders = [rng.randrange(10**30, 10**31) for _ in range(200)]
+    over = [
+        "Z^4+" + "+".join(f"Z/{d}" for d in orders),
+        f"Z^4+Z/{2**_MAX_TORSION_BITS}",  # one bit over
+        f"Z^4+Z/3+Z/{2 ** (_MAX_TORSION_BITS - 1)}",  # the lcm is over, each order under
+        "Z^4+Z/" + "9" * (_MAX_TORSION_DIGITS + 1),  # refused before int() reads it
+    ]
+    monkeypatch.setattr(zlinalg, "_chain_from_counts", _no_normalisation)
+    for spec in over:
+        for command in (["classify", spec], ["homology", spec, "3"]):
+            code, out, err = run(capsys, *command)
+            assert (code, out) == (2, ""), spec[:40]
+            assert err == (
+                f"error: largest invariant factor over the limit of {_MAX_TORSION_BITS} bits\n"
+            )
+    monkeypatch.undo()
+
+    # At the limit: a largest factor of exactly _MAX_TORSION_BITS bits (4300
+    # digits) prints, and so do the most of the random orders that fit.
+    top = 2 ** (_MAX_TORSION_BITS - 1)
+    code, out, _ = run(capsys, "classify", f"Z^4+Z/2+Z/{top}")
+    assert code == 0
+    assert out.startswith(f"group: Z^4 + Z/2 + Z/{top}\n")
+    assert len(str(top)) == _MAX_TORSION_DIGITS
+    assert run(capsys, "homology", f"Z^4+Z/{top}", "3")[0] == 0
+    lcm, k = 1, 0  # the lcm of the first k orders
+    while (longer := math.lcm(lcm, orders[k])).bit_length() <= _MAX_TORSION_BITS:
+        lcm, k = longer, k + 1
+    fits = "Z^4+" + "+".join(f"Z/{d}" for d in orders[:k])
+    code, out, _ = run(capsys, "classify", fits)
+    assert code == 0
+    assert out.splitlines()[0].endswith(f" + Z/{lcm}")
+    with pytest.raises(GroupSpecError, match="limit"):
+        parse_group_spec(fits + f"+Z/{orders[k]}")
+
+
+def test_classify_in_a_fresh_interpreter_imports_no_dataclasses_or_json():
+    # dataclasses (with inspect, ast, dis and tokenize) and json are most
+    # of the standard library a cold start would import; a text report
+    # needs neither, and a JSON report imports json when it prints.
+    src = Path(cli.__file__).resolve().parents[1]
+    script = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); from aspherical.cli import main; "
+        "code = main(sys.argv[1:]); "
+        "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)), file=sys.stderr); "
+        "sys.exit(code)"
+    )
+    for fmt, loaded, digest in (
+        ("text", "[]", "f226f6fc9abe52bf60f00bb8d2d7d083a053f58b168080b34ae6121d81cd8ac3"),
+        ("json", "['json']", "54d9da4e0ad892c254abc715de78ef0bbe753a17abee83d57d96a99df488e9ae"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script, "--format", fmt, "classify", "Z^2"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == loaded + "\n", fmt
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest, fmt

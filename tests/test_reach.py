@@ -38,6 +38,17 @@ KEPT_FOR_TESTS = {
     ("zlinalg", "_factorize"),
     # Read by the tracer's `word.letters_parsed` counter.
     ("word", "Word.__len__"),
+    # Built only by names the tracer pins (`compose`, `pinch_presentation_map`,
+    # `presentation_chain_for`); it runs the check the tracer binds,
+    # `GroupHom.__post_init__`.
+    ("fpgroup", "GroupHom.__init__"),
+    # Value semantics of the frozen records, which no command hashes, prints
+    # or assigns to; `tests/test_values.py` checks them for every record.
+    # `__init_subclass__` runs as each record class is defined, on import.
+    ("word", "_Value.__hash__"),
+    ("word", "_Value.__init_subclass__"),
+    ("word", "_Value.__repr__"),
+    ("word", "_Value._immutable"),
     # Word, presentation and matrix constructors used by the tests and
     # `tests/oracles.py` (the reference chain, fiber sum and cokernel).
     ("fpgroup", "Presentation.word"),

@@ -68,13 +68,13 @@ def test_largest_witness_rung_equals_the_two_stage_construction():
 def constructions(monkeypatch):
     counts = {"Word": 0, "Presentation": 0}
     for cls in (Word, Presentation):
-        original = cls.__post_init__
+        original = cls.__init__
 
-        def counting(self, _original=original, _name=cls.__name__):
+        def counting(self, *args, _original=original, _name=cls.__name__, **kwargs):
             counts[_name] += 1
-            _original(self)
+            _original(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__post_init__", counting)
+        monkeypatch.setattr(cls, "__init__", counting)
     return counts
 
 
