@@ -5,21 +5,34 @@ Every report is available as key/value text (default) or JSON with a
 stable schema; identical inputs produce byte-identical output.  Exit
 codes: 0 success or aspherical, 2 usage or parse error, 3 not
 aspherical or a failed construction precondition.
+
+The plain argv forms are read directly, without importing argparse:
+`[--format text|json] [--max-degree N]... SUBCOMMAND OPERAND`, with
+`homology GROUP [DEGREE]` and `fibersum FILE [-e N | --base-genus N]`.
+Everything else (`-h`, `--opt=value`, abbreviated options, `--`, an
+operand starting with `-`, usage errors) goes to argparse, so help and
+error text are argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from . import abhomology, asphericity, fibersum, lefschetz, zlinalg
 from .fpgroup import parse_presentation, render_presentation
 from .word import _MAX_TORSION_BITS, _MAX_TORSION_DIGITS
 from .zlinalg import FgAbelian
+
+if TYPE_CHECKING:
+    import argparse
+
+    Args = argparse.Namespace | SimpleNamespace
 
 SCHEMA_VERSION = 1
 
@@ -90,7 +103,7 @@ def _read_input(name: str) -> str:
 _GRADED_KEY = re.compile(r"H_\d+\Z")
 
 
-def _emit(args: argparse.Namespace, payload: dict) -> None:
+def _emit(args: Args, payload: dict) -> None:
     """Print the subcommand's report: JSON after the schema_version and
     command header, or one text line (or block) per key."""
     if args.format == "json":
@@ -114,13 +127,13 @@ def _emit(args: argparse.Namespace, payload: dict) -> None:
             print(f"{key}: {value}")
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: Args) -> int:
     gamma = parse_group_spec(args.group)
     verdict = asphericity.classify(gamma)
     citations = list(_CITATIONS[verdict.reason])
     if verdict.pi2_forced_nonzero_in_dim4:
         citations.append("Proposition 5.3")
-    if gamma == FgAbelian(4, (2,)):
+    if gamma == asphericity.Z4_PLUS_Z2:
         citations.append("Corollary 5.5")
     note = asphericity.covering_note(gamma)
     if note is not None:
@@ -138,7 +151,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK if verdict.aspherical else EXIT_VERDICT
 
 
-def cmd_homology(args: argparse.Namespace) -> int:
+def cmd_homology(args: Args) -> int:
     gamma = parse_group_spec(args.group)
     degree = args.degree if args.degree is not None else args.max_degree
     if not 0 <= degree <= abhomology.DEFAULT_DEGREE_CAP:
@@ -158,7 +171,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_fibration(args: argparse.Namespace) -> int:
+def cmd_fibration(args: Args) -> int:
     m, label = lefschetz.parse_factorization(_read_input(args.file))
     trivial = lefschetz.homology_trivial(m)
     p = lefschetz.total_space_pi1(m, trivial)
@@ -175,7 +188,7 @@ def cmd_fibration(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_witness(args: argparse.Namespace) -> int:
+def cmd_witness(args: Args) -> int:
     gamma = parse_group_spec(args.group)
     try:
         p = fibersum.witness_presentation(gamma)
@@ -183,7 +196,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
         _emit(args, {
             "group": gamma.render(),
             "aspherical": False,
-            "reason": asphericity.classify_reason(gamma).value,
+            "reason": e.reason.value,
             "error": str(e),
         })
         return EXIT_VERDICT
@@ -200,7 +213,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_snf(args: argparse.Namespace) -> int:
+def cmd_snf(args: Args) -> int:
     a = zlinalg.parse_matrix(_read_input(args.file))
     snf = zlinalg.smith_normal_form(a)
     _emit(args, {
@@ -214,7 +227,7 @@ def cmd_snf(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_fibersum(args: argparse.Namespace) -> int:
+def cmd_fibersum(args: Args) -> int:
     p = parse_presentation(_read_input(args.file))
     fibered = fibersum.SurfaceFiberedPresentation(len(p.generators) // 2, p)
     result = fibersum.fiber_sum_with_trivial_bundle(fibered, args.base_genus)
@@ -231,8 +244,50 @@ def cmd_fibersum(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "classify": cmd_classify, "homology": cmd_homology, "fibration": cmd_fibration,
+    "witness": cmd_witness, "snf": cmd_snf, "fibersum": cmd_fibersum,
+}
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace `_build_parser().parse_args(argv)` returns, for the
+    plain forms of the module docstring; None for any other argv."""
+    args = SimpleNamespace(format="text", max_degree=3)
+    try:
+        while argv[0] in ("--format", "--max-degree"):
+            option, value, *argv = argv
+            if option == "--format" and value in ("text", "json"):
+                args.format = value
+            elif option == "--max-degree" and value[:1] != "-":
+                args.max_degree = int(value)
+            else:
+                return None
+        command, operand, *rest = argv
+        if operand[:1] == "-" or rest and rest[-1][:1] == "-":
+            return None
+        if command == "homology" and len(rest) <= 1:
+            args.group, args.degree = operand, int(rest[0]) if rest else None
+        elif command == "fibersum" and (
+            not rest or len(rest) == 2 and rest[0] in ("-e", "--base-genus")
+        ):
+            args.file, args.base_genus = operand, int(rest[1]) if rest else 1
+        elif command in ("classify", "witness") and not rest:
+            args.group = operand
+        elif command in ("fibration", "snf") and not rest:
+            args.file = operand
+        else:
+            return None
+    except (IndexError, ValueError):  # too few tokens, or an int() that argparse would refuse
+        return None
+    args.subcommand, args.func = command, _COMMANDS[command]
+    return args
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse  # here, so that the plain forms `_read_argv` reads do not pay for importing it
+
     parser = argparse.ArgumentParser(
         prog="aspherical",
         description="Symplectically aspherical abelian groups: classification, "
@@ -285,7 +340,8 @@ _DOMAIN_ERRORS = (
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_argv(argv) or _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _DOMAIN_ERRORS as e:

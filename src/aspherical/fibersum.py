@@ -42,8 +42,10 @@ class RankTooSmall(ValueError):
 
 
 class NotAspherical(ValueError):
-    def __init__(self, reason: str):
-        super().__init__(f"not symplectically aspherical: {reason}")
+    """A witness was asked for a group the classification rejects for `reason`."""
+
+    def __init__(self, reason: Reason):
+        super().__init__(f"not symplectically aspherical: {_NOT_ASPHERICAL[reason]}")
         self.reason = reason
 
 
@@ -171,7 +173,7 @@ def witness_presentation(gamma: FgAbelian) -> Presentation:
     """
     reason = classify_reason(gamma)
     if reason in _NOT_ASPHERICAL:
-        raise NotAspherical(_NOT_ASPHERICAL[reason])
+        raise NotAspherical(reason)
     label = f"witness {gamma.render()}"
     if reason is Reason.IS_Z2:
         gens = surface_generators(1)

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from aspherical.abhomology import GradedAbelian
+from aspherical.asphericity import Reason
 from aspherical.fibersum import (
     NotAspherical,
     SurfaceFiberedPresentation,
@@ -802,7 +803,8 @@ def reference_witness_presentation(gamma: FgAbelian) -> Presentation:
         gens = surface_group(1).generators
         return Presentation(gens, (surface_relator(gens),), label=label)
     if m < 4:
-        raise NotAspherical(f"free rank {m}")
+        ranks = {3: Reason.RANK_THREE, 2: Reason.RANK_TWO_WITH_TORSION}
+        raise NotAspherical(ranks.get(m, Reason.RANK_ZERO_OR_ONE))
     a = FgAbelian(m - 2, gamma.torsion)
     m_prime = a.free_rank
     r = m_prime + len(a.torsion)

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from oracles import chain_relation, reference_from_cyclic_orders
-from aspherical import cli, zlinalg
+from reader_differential import check_reader_against_argparse
+from aspherical import asphericity, cli, fibersum, zlinalg
 from aspherical.cli import GroupSpecError, main, parse_group_spec
 from aspherical.word import (
     _MAX_BASE_GENUS,
@@ -367,6 +368,38 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
+def test_rejected_witness_classifies_once(capsys, monkeypatch):
+    calls = []
+    classify_reason = asphericity.classify_reason
+
+    def counted(gamma):
+        calls.append(gamma)
+        return classify_reason(gamma)
+
+    monkeypatch.setattr(asphericity, "classify_reason", counted)
+    monkeypatch.setattr(fibersum, "classify_reason", counted)
+    code, out, _ = run(capsys, "witness", "Z^3")
+    assert code == 3
+    assert "reason: RankThree\n" in out
+    assert calls == [FgAbelian(3)]
+
+
+def test_reader_returns_argparse_namespace_or_none():
+    checked, _ = check_reader_against_argparse()
+    assert checked >= 200
+    for argv in (
+        ["classify", "Z^2"],
+        ["--format", "json", "--max-degree", "4", "homology", "Z^4", "3"],
+        ["--max-degree", "5", "homology", "Z^4"],
+        ["fibersum", "f.txt", "-e", "2"],
+        ["--format", "text", "fibersum", "f.txt", "--base-genus", "3"],
+        ["fibration", "f.txt"],
+        ["snf", "m.txt"],
+        ["witness", "Z^4+Z/2"],
+    ):
+        assert cli._read_argv(argv) is not None, argv
+
+
 _Z2_11 = "+".join(["Z/2"] * 11)
 _Z2_400 = "+".join(["Z/2"] * 400)
 
@@ -682,3 +715,37 @@ def test_classify_in_a_fresh_interpreter_imports_no_dataclasses_or_json():
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == loaded + "\n", fmt
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest, fmt
+
+
+def test_plain_argv_in_a_fresh_interpreter_imports_no_argparse():
+    # A plain argv is read without argparse, and so without the gettext and
+    # locale it loads while building its parser; help and usage errors
+    # still come from argparse.
+    src = Path(cli.__file__).resolve().parents[1]
+    script = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); from aspherical.cli import main; "
+        "import atexit; atexit.register(lambda: print("
+        "sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)), file=sys.stderr)); "
+        "sys.exit(main(sys.argv[1:]))"
+    )
+
+    def launch(*argv):
+        return subprocess.run(
+            [sys.executable, "-S", "-c", script, *argv], capture_output=True, text=True, timeout=60
+        )
+
+    proc = launch("classify", "Z^2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[]\n"
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "f226f6fc9abe52bf60f00bb8d2d7d083a053f58b168080b34ae6121d81cd8ac3"
+    )
+    proc = launch("--help")
+    assert proc.returncode == 0
+    assert proc.stdout == cli._build_parser().format_help()
+    assert proc.stdout.startswith("usage: aspherical [-h] [--format {text,json}]")
+    assert "'argparse'" in proc.stderr
+    proc = launch("not-a-command")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: aspherical")
+    assert "invalid choice: 'not-a-command'" in proc.stderr

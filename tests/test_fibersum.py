@@ -3,6 +3,7 @@ import random
 import pytest
 
 from oracles import determinant, is_surjective_onto
+from aspherical.asphericity import Reason
 from aspherical.fibersum import (
     NotAspherical,
     NotSurfaceFibered,
@@ -204,18 +205,20 @@ def test_witness_relators_lie_in_the_chain_kernel():
 
 
 def test_witness_rejections():
+    low, torsion, three = Reason.RANK_ZERO_OR_ONE, Reason.RANK_TWO_WITH_TORSION, Reason.RANK_THREE
     cases = {
-        FgAbelian(0): "free rank 0 or 1",
-        FgAbelian(1): "free rank 0 or 1",
-        FgAbelian(0, (5,)): "free rank 0 or 1",
-        FgAbelian(2, (2,)): "free rank 2 with torsion",
-        FgAbelian(3): "free rank 3",
-        FgAbelian(3, (7,)): "free rank 3",
+        FgAbelian(0): (low, "free rank 0 or 1"),
+        FgAbelian(1): (low, "free rank 0 or 1"),
+        FgAbelian(0, (5,)): (low, "free rank 0 or 1"),
+        FgAbelian(2, (2,)): (torsion, "free rank 2 with torsion"),
+        FgAbelian(3): (three, "free rank 3"),
+        FgAbelian(3, (7,)): (three, "free rank 3"),
     }
-    for gamma, reason in cases.items():
+    for gamma, (reason, phrase) in cases.items():
         with pytest.raises(NotAspherical) as exc:
             witness_presentation(gamma)
-        assert exc.value.reason == reason
+        assert exc.value.reason is reason
+        assert str(exc.value) == f"not symplectically aspherical: {phrase}"
 
 
 def test_witness_matches_classification_on_rank_sweep():

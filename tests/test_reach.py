@@ -139,6 +139,7 @@ def _runs(tmp: Path) -> list[tuple[list[str], int]]:
         (["fibration", str(unknown)], 2),
         (["fibration", str(syntax)], 2),
         (["fibersum", str(fibered), "-e", "2"], 0),
+        (["fibersum", str(fibered), "--base-genus=2"], 0),  # read by argparse alone
         (["fibersum", str(odd)], 3),
     ]
 
