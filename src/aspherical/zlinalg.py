@@ -9,7 +9,9 @@ can grow well past machine words).
 `IntMatrix` is immutable and dense.  `smith_normal_form` runs one loop
 under a pinned pivot rule and multiplies its logged operations out from
 the last step back (as LAPACK forms Q from Householder reflectors): the
-forward product exactly, but each step stays in its trailing block.  A
+forward product exactly, but each step stays in its trailing block.  The
+log holds one summed operation per line and run of commuting clearing
+steps, so a line cleared over several passes costs one operation.  A
 cokernel carries no transforms: its rows are kept sparse and presolved
 (zero and repeated rows dropped, +-1 pivots eliminated), and only the
 small core left goes through the loop.  Relator lattices, which are
@@ -179,8 +181,12 @@ def _eliminate(d: list[list[int]], rows: int, cols: int) -> list[tuple[list[int]
     """Bring d to Smith form in place; return each step's row and column
     operations, triples (a, b, q) for line a -= q * line b (a swap if
     q == 0; row i folded into row k is (k, i, -1), row k negated (k, k, 2)).
-    Step k touches only rows and columns >= k: the rest of them is zero."""
+    Step k touches only rows and columns >= k: the rest of them is zero.
+    Its clearing steps, line i -= q * line k for i > k, commute until line
+    k changes (a row swap or fold for rows, a column swap for columns), so
+    each such run is logged as one operation per line, q summed."""
     steps = []
+    row_run, col_run = [0] * rows, [0] * cols
     for k in range(min(rows, cols)):
         piv = _pivot(d, k, rows, cols)
         if piv is None:
@@ -189,9 +195,11 @@ def _eliminate(d: list[list[int]], rows: int, cols: int) -> list[tuple[list[int]
         while True:
             i, j = piv
             if i != k:
+                _flush(row_ops, row_run, k)
                 d[k], d[i] = d[i], d[k]
                 row_ops += (k, i, 0)
             if j != k:
+                _flush(col_ops, col_run, k)
                 for dr in d[k:]:
                     dr[k], dr[j] = dr[j], dr[k]
                 col_ops += (k, j, 0)
@@ -202,29 +210,42 @@ def _eliminate(d: list[list[int]], rows: int, cols: int) -> list[tuple[list[int]
                 if q:
                     for c in range(k, cols):
                         di[c] -= q * dk[c]
-                    row_ops += (i, k, q)
+                    row_run[i] += q
                 dirty = dirty or di[k] != 0
             for j in range(k + 1, cols):
                 q = dk[j] // dk[k]
                 if q:
                     for dr in d[k:]:
                         dr[j] -= q * dr[k]
-                    col_ops += (j, k, q)
+                    col_run[j] += q
                 dirty = dirty or dk[j] != 0
             if dirty:
                 piv = _pivot(d, k, rows, cols)
             elif (bad := _nondivisible(d, k, rows, cols)) is None:
                 break
             else:  # fold the offending row into row k: the pivot shrinks to the gcd
+                _flush(row_ops, row_run, k)
                 for c in range(k, cols):
                     dk[c] += d[bad[0]][c]
                 row_ops += (k, bad[0], -1)
                 piv = (k, k)
+        _flush(row_ops, row_run, k)
+        _flush(col_ops, col_run, k)
         if dk[k] < 0:
             dk[k] = -dk[k]
             row_ops += (k, k, 2)
         steps.append((row_ops, col_ops))
     return steps
+
+
+def _flush(ops: list[int], run: list[int], k: int) -> None:
+    """Log the run's summed quotients, line i -= run[i] * line k, in
+    ascending i, and clear the run.  A sum of zero is the identity and is
+    left out: logged, q == 0 would read as a swap."""
+    for i in range(k + 1, len(run)):
+        if q := run[i]:
+            ops += (i, k, q)
+            run[i] = 0
 
 
 def _replay(n: int, logs: list[list[int]]) -> list[list[int]]:

@@ -479,6 +479,7 @@ _DENSE_MATRICES = {
     "wide.txt": (4405, 12, 30),
     "tall.txt": (4406, 30, 12),
     "rankdef.txt": (4407, 10, 10, 6),
+    "dense40.txt": (4408, 40, 40),
 }
 
 # (test id, argv, ...) and otherwise the layout of _GOLDEN, for commands
@@ -486,7 +487,8 @@ _DENSE_MATRICES = {
 # the genus-1 and genus-g fiber, `pi1.txt` and `pi1_6.txt` the
 # pi1_presentation each prints, `_SMALL_FILES` and the `_DENSE_MATRICES`
 # files their text.  The dense `snf` digests were recorded from the Smith
-# form that carried U and V forward through every operation, the
+# form that carried U and V forward through every operation (the 40 x 40
+# row from the one that logged every clearing step on its own), the
 # genus-2..5, one-cycle, empty, genus-2 fibersum and small `snf` rows from
 # the implementation that stored each vanishing cycle's homology class
 # beside its word.
@@ -496,6 +498,7 @@ _GOLDEN_FILES = [
     ("snf dense 12x30", ("snf", "wide.txt"), 0, "bb09ddc5eda6b904c36877442a2f68e488bcefd9bba21a9f1afe249fec8fbaee", "a8c912655aaf46c873a8cca766c62b9576805d64a2cf88fa99d49e705625b6f5"),
     ("snf dense 30x12", ("snf", "tall.txt"), 0, "b7d12367895b45e78a4b1354f93dec8deb44baffff2d220df59eee5c44ece487", "b050164b52f96cf8fa9857398729648cdc16db2bb134c9e0ffee6589c76667a7"),
     ("snf rank 6 10x10", ("snf", "rankdef.txt"), 0, "15873b52cbf9bcbd617b202af32f2a48c04824f43a49eb2f4c2a13699987c633", "2c8edbcf9556246a8b8d29ddbf2593229fede71d48162a98830c6f2a2434347c"),
+    ("snf dense 40x40", ("snf", "dense40.txt"), 0, "40510ca2930acc4bebaeefa7f3916bf235ff51e1ae8e8a83bfc64bc70fed7287", "81174f3fa299c9059fd9a85b790c490d1bd1f98173e686fb110620324ec84c96"),
     ("fibration", ("fibration", "fib.txt"), 0, "1ced22b1b93cd35a6a15e25f1b0d4fb14f767479c4b1d4a38bb617afca545c24", "f899e1a5254b8133d5af7c3d7f8468a269e05bc187c33736917e31c07870372e"),
     ("fibersum", ("fibersum", "pi1.txt", "-e", "2"), 0, "298da50736c593d425e5dee720fdaa6a9c890055b01f1085bc43c0c46e7e3c2b", "01ac6a38b0f1dfb0e1abe2a7585d881a600110983edf41e8b0f3132334266aec"),
     ("fibration genus 6", ("fibration", "fib6.txt"), 0, "d7b3a67e804ed628f4d74be4ebec3746f643a06a57e0ea80b9d8999a04847c71", "3452b07234bc532620570f8ddd01a51a3d13c03fc32e3b6e776f0f57ee6fdd59"),

@@ -5,9 +5,12 @@ sympy.
 
 Both references live in `tests/oracles.py`.  D, U and V must agree
 entry for entry: the `snf` report prints them, and the pinned pivot rule
-makes them part of its output.
+makes them part of its output.  The seeded sweep whose clearing runs
+cancel lives in `tests/smith_differential.py`, which also runs without
+pytest.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -18,7 +21,8 @@ from oracles import (
     sparse_rows,
     sympy_cokernel,
 )
-from aspherical.zlinalg import IntMatrix, cokernel, smith_normal_form
+from smith_differential import check_against_reference
+from aspherical.zlinalg import IntMatrix, _eliminate, cokernel, smith_normal_form
 
 
 def _random_rows(rng, rows, cols, lo=-9, hi=9):
@@ -79,6 +83,37 @@ def test_smith_form_matches_the_forward_reference_exactly(a):
     assert got.d == expected.d
     assert got.u == expected.u
     assert got.v == expected.v
+
+
+def test_replayed_transforms_match_the_reference_where_runs_cancel():
+    # A run of clearing steps whose quotients sum to zero must leave no
+    # operation in the log; 11 runs of the sweep cancel.
+    assert check_against_reference() == 300
+
+
+def test_dense_40x40_matches_the_forward_reference():
+    a = IntMatrix.from_rows(_random_rows(random.Random(4510), 40, 40), cols=40)
+    got, expected = smith_normal_form(a), reference_smith_normal_form(a)
+    assert (got.d, got.u, got.v) == (expected.d, expected.u, expected.v)
+
+
+def _hex_digest(m: IntMatrix) -> str:
+    # Hex text has no int-to-str digit limit; U and V here reach about 17k bits.
+    return hashlib.sha256(" ".join(format(x, "x") for x in m.entries).encode()).hexdigest()
+
+
+def test_benchmark_top_matrix_is_pinned():
+    """The `snf_dense` benchmark's fixed 60 x 60 matrix (built as in
+    `perfbench/workloads.py`).  The digests of D, U and V were recorded
+    from the loop that logged every clearing step on its own, 32,455
+    operations in all; summed per line and run, the log holds 22,701."""
+    a = IntMatrix.from_rows(_random_rows(random.Random("snf_dense:top"), 60, 60), cols=60)
+    s = smith_normal_form(a)
+    assert _hex_digest(s.d) == "10c3f0a027ec7b028c5b11b5b807b019d9133f73ee0659bae32f107bfd6d0689"
+    assert _hex_digest(s.u) == "73265a8d8bebf4475aa81d4e1a3121430e236413c914f6f7042c559ec17977cc"
+    assert _hex_digest(s.v) == "1e2d2099715e2e1b81bc7c2a7a0302f44b1fb421a07161329779ae7472643581"
+    steps = _eliminate(a.to_rows(), 60, 60)
+    assert sum(len(r) + len(c) for r, c in steps) // 3 == 22701
 
 
 def test_transform_free_cokernel_matches_the_dense_reference():
