@@ -31,7 +31,7 @@ import math
 from collections import Counter
 from itertools import accumulate, chain, repeat
 
-from .word import _MAX_HOMOLOGY_SUMMANDS, _Value
+from .word import _MAX_HOMOLOGY_SUMMANDS
 from .zlinalg import FgAbelian
 
 DEFAULT_DEGREE_CAP = 8
@@ -39,19 +39,6 @@ DEFAULT_DEGREE_CAP = 8
 
 class InsufficientDegrees(ValueError):
     pass
-
-
-class GradedAbelian(_Value):
-    """Homology groups indexed by degree 0..N."""
-
-    __slots__ = _fields = ("groups",)
-
-    def __init__(self, groups: tuple[FgAbelian, ...]):
-        object.__setattr__(self, "groups", groups)
-
-    @property
-    def top_degree(self) -> int:
-        return len(self.groups) - 1
 
 
 def invariant_factor_counts(m: int, t: int, top: int) -> list[int]:
@@ -128,14 +115,15 @@ def tor(a: FgAbelian, b: FgAbelian) -> FgAbelian:
     return FgAbelian.from_counts(0, acc)
 
 
-def kunneth(ha: GradedAbelian, hb: GradedAbelian, n: int) -> FgAbelian:
-    """Degree-n homology of a product from the factors' graded homology."""
-    if ha.top_degree < n or hb.top_degree < n:
+def kunneth(ha: tuple[FgAbelian, ...], hb: tuple[FgAbelian, ...], n: int) -> FgAbelian:
+    """Degree-n homology of a product from the factors' graded homology,
+    each a tuple of groups indexed by degree."""
+    if len(ha) <= n or len(hb) <= n:
         raise InsufficientDegrees(
-            f"need degrees through {n}, have {ha.top_degree} and {hb.top_degree}"
+            f"need degrees through {n}, have {len(ha) - 1} and {len(hb) - 1}"
         )
-    a = [_counted(g) for g in ha.groups[: n + 1]]
-    b = [_counted(g) for g in hb.groups[: n + 1]]
+    a = [_counted(g) for g in ha[: n + 1]]
+    b = [_counted(g) for g in hb[: n + 1]]
     acc: dict[int, int] = {}
     free = 0
     for i in range(n + 1):
@@ -145,9 +133,12 @@ def kunneth(ha: GradedAbelian, hb: GradedAbelian, n: int) -> FgAbelian:
     return FgAbelian.from_counts(free, acc)
 
 
-def group_homology_graded(g: FgAbelian, max_degree: int = DEFAULT_DEGREE_CAP) -> GradedAbelian:
-    """H_0..H_max of g: Z^C(m,k) for the free part, then one prefix sum
-    over the degrees per invariant factor (see the module docstring).
+def group_homology_graded(
+    g: FgAbelian, max_degree: int = DEFAULT_DEGREE_CAP
+) -> tuple[FgAbelian, ...]:
+    """H_0..H_max of g, indexed by degree: Z^C(m,k) for the free part,
+    then one prefix sum over the degrees per invariant factor (see the
+    module docstring).
 
     Rejected up front when the invariant factors through max_degree
     number more than _MAX_HOMOLOGY_SUMMANDS.
@@ -169,7 +160,7 @@ def group_homology_graded(g: FgAbelian, max_degree: int = DEFAULT_DEGREE_CAP) ->
     for n, rank in enumerate(free):
         torsion = chain.from_iterable(repeat(x, col[n]) for x, col in columns.items())
         groups.append(FgAbelian(rank, tuple(torsion)))
-    return GradedAbelian(tuple(groups))
+    return tuple(groups)
 
 
 def group_homology(g: FgAbelian, k: int) -> FgAbelian:
@@ -179,7 +170,7 @@ def group_homology(g: FgAbelian, k: int) -> FgAbelian:
     >>> print(group_homology(FgAbelian(4, (2,)), 3).render())
     Z^4 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2 + Z/2
     """
-    return group_homology_graded(g, max_degree=k).groups[k]
+    return group_homology_graded(g, max_degree=k)[k]
 
 
 def factor_homology_sum(g: FgAbelian, k: int) -> FgAbelian:

@@ -52,7 +52,7 @@ COVERING_NOTE_Z4 = (
 
 
 class AsphericityVerdict(_Value):
-    __slots__ = _fields = ("reason", "realizable_dims", "pi2_forced_nonzero_in_dim4", "class_note")
+    __slots__ = ("reason", "realizable_dims", "pi2_forced_nonzero_in_dim4", "class_note")
 
     def __init__(self, reason: Reason, realizable_dims: frozenset[int],
                  pi2_forced_nonzero_in_dim4: bool, class_note: str | None):

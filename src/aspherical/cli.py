@@ -6,9 +6,11 @@ stable schema; identical inputs produce byte-identical output.  Exit
 codes: 0 success or aspherical, 2 usage or parse error, 3 not
 aspherical or a failed construction precondition.
 
-The plain argv forms are read directly, without importing argparse:
-`[--format text|json] [--max-degree N]... SUBCOMMAND OPERAND`, with
-`homology GROUP [DEGREE]` and `fibersum FILE [-e N | --base-genus N]`.
+The argv grammar is written once, in the command table `_COMMANDS`:
+each subcommand's function, help line and operand.  Two readers are
+built from it.  The plain forms are read directly, without importing
+argparse: `[--format text|json] [--max-degree N]... SUBCOMMAND OPERAND`,
+with `homology GROUP [DEGREE]` and `fibersum FILE [-e N | --base-genus N]`.
 Everything else (`-h`, `--opt=value`, abbreviated options, `--`, an
 operand starting with `-`, usage errors) goes to argparse, so help and
 error text are argparse's own.
@@ -161,12 +163,12 @@ def cmd_homology(args: Args) -> int:
     graded = abhomology.group_homology_graded(gamma, max_degree=degree)
     summand = abhomology.factor_homology_sum(gamma, degree)
     payload = {"group": gamma.render(), "max_degree": degree}
-    for k, h in enumerate(graded.groups):
+    for k, h in enumerate(graded):
         payload[f"H_{k}"] = h.render()
     for k in range(degree + 1):
         payload[f"dim_R_H^{k}"] = abhomology.real_cohomology_rank(gamma, k)
     payload[f"factor_homology_sum_H_{degree}"] = summand.render()
-    payload["contains_factor_homology_sum"] = graded.groups[degree].contains_summand(summand)
+    payload["contains_factor_homology_sum"] = graded[degree].contains_summand(summand)
     _emit(args, payload)
     return EXIT_OK
 
@@ -244,9 +246,18 @@ def cmd_fibersum(args: Args) -> int:
     return EXIT_OK
 
 
+# subcommand -> (function, help, operand name, operand help): the one
+# spelling of the argv grammar, which both readers below are built from.
 _COMMANDS = {
-    "classify": cmd_classify, "homology": cmd_homology, "fibration": cmd_fibration,
-    "witness": cmd_witness, "snf": cmd_snf, "fibersum": cmd_fibersum,
+    "classify": (cmd_classify, "decide symplectic asphericity of an abelian group",
+                 "group", "group spec, e.g. Z^4+Z/2"),
+    "homology": (cmd_homology, "integral homology and real cohomology ranks", "group", None),
+    "fibration": (cmd_fibration, "report on a monodromy factorization file", "file", None),
+    "witness": (cmd_witness, "emit a witness presentation for an aspherical group",
+                "group", None),
+    "snf": (cmd_snf, "Smith normal form of a matrix file", "file", None),
+    "fibersum": (cmd_fibersum, "fiber sum of a fibered presentation with a trivial bundle",
+                 "file", "presentation file in surface-fibered form"),
 }
 
 
@@ -266,21 +277,19 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
         command, operand, *rest = argv
         if operand[:1] == "-" or rest and rest[-1][:1] == "-":
             return None
+        args.func, _, name, _ = _COMMANDS[command]
+        setattr(args, name, operand)
         if command == "homology" and len(rest) <= 1:
-            args.group, args.degree = operand, int(rest[0]) if rest else None
+            args.degree = int(rest[0]) if rest else None
         elif command == "fibersum" and (
             not rest or len(rest) == 2 and rest[0] in ("-e", "--base-genus")
         ):
-            args.file, args.base_genus = operand, int(rest[1]) if rest else 1
-        elif command in ("classify", "witness") and not rest:
-            args.group = operand
-        elif command in ("fibration", "snf") and not rest:
-            args.file = operand
-        else:
+            args.base_genus = int(rest[1]) if rest else 1
+        elif rest:
             return None
-    except (IndexError, ValueError):  # too few tokens, or an int() that argparse would refuse
-        return None
-    args.subcommand, args.func = command, _COMMANDS[command]
+    except (IndexError, KeyError, ValueError):  # short argv, unknown command, or an int()
+        return None  # that argparse would refuse
+    args.subcommand = command
     return args
 
 
@@ -301,33 +310,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="default top homology degree for reports (at most 8)",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("classify", help="decide symplectic asphericity of an abelian group")
-    p.add_argument("group", help="group spec, e.g. Z^4+Z/2")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("homology", help="integral homology and real cohomology ranks")
-    p.add_argument("group")
-    p.add_argument("degree", nargs="?", type=int, default=None)
-    p.set_defaults(func=cmd_homology)
-
-    p = sub.add_parser("fibration", help="report on a monodromy factorization file")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_fibration)
-
-    p = sub.add_parser("witness", help="emit a witness presentation for an aspherical group")
-    p.add_argument("group")
-    p.set_defaults(func=cmd_witness)
-
-    p = sub.add_parser("snf", help="Smith normal form of a matrix file")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_snf)
-
-    p = sub.add_parser("fibersum", help="fiber sum of a fibered presentation with a trivial bundle")
-    p.add_argument("file", help="presentation file in surface-fibered form")
-    p.add_argument("-e", "--base-genus", type=int, default=1)
-    p.set_defaults(func=cmd_fibersum)
-
+    for command, (func, summary, operand, operand_help) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.add_argument(operand, help=operand_help)
+        if command == "homology":
+            p.add_argument("degree", nargs="?", type=int, default=None)
+        elif command == "fibersum":
+            p.add_argument("-e", "--base-genus", type=int, default=1)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -62,7 +62,7 @@ class SurfaceFiberedPresentation(_Value):
     whose first relator is the surface relator; the rest are the extra
     relators cutting the total space's fundamental group out of pi_f."""
 
-    __slots__ = _fields = ("fiber_genus", "presentation")
+    __slots__ = ("fiber_genus", "presentation")
 
     def __init__(self, fiber_genus: int, presentation: Presentation):
         p, g = presentation, fiber_genus

@@ -54,7 +54,7 @@ class FormatError(ValueError):
 class Presentation(_Value):
     """Generators plus relator words; relators stay cyclically reduced."""
 
-    __slots__ = _fields = ("generators", "relators", "label")
+    __slots__ = ("generators", "relators", "label")
 
     def __init__(
         self, generators: tuple[Generator, ...], relators: tuple[Word, ...], label: str | None = None
@@ -73,14 +73,11 @@ class Presentation(_Value):
         object.__setattr__(self, "relators", relators)
         object.__setattr__(self, "label", label)
 
-    def word(self, text: str) -> Word:
-        return parse_word(text, self.generators)
-
 
 class GroupHom(_Value):
     """A homomorphism given by one target word per source generator."""
 
-    __slots__ = _fields = ("source", "target", "images")
+    __slots__ = ("source", "target", "images")
 
     def __init__(self, source: Presentation, target: Presentation, images: tuple[Word, ...]):
         object.__setattr__(self, "source", source)

@@ -19,17 +19,23 @@ from .fpgroup import (
     surface_generators,
     surface_relator,
 )
-from .word import _MAX_FIBER_GENUS, Word, _Value, cyclic_reduce, exponent_vector, parse_word
+from .word import (
+    _MAX_FIBER_GENUS,
+    _MAX_TWIST_WORK,
+    Word,
+    _Value,
+    cyclic_reduce,
+    exponent_vector,
+    parse_word,
+)
 from .zlinalg import DimensionMismatch, IntMatrix
 
 
 class MonodromyFactorization(_Value):
     """Ordered Dehn-twist data on a genus-h fiber; leftmost twist acts first.
-    Each cycle is a word over the fiber alphabet `fiber`: the cycles'
-    tuple when they share one.  `fiber` is derived, so it is not compared."""
+    Each cycle is a word over the fiber surface generators."""
 
-    _fields = ("fiber_genus", "cycles", "signs")
-    __slots__ = _fields + ("fiber",)
+    __slots__ = ("fiber_genus", "cycles", "signs")
 
     def __init__(self, fiber_genus: int, cycles: tuple[Word, ...], signs: tuple[int, ...]):
         if len(cycles) != len(signs):
@@ -47,7 +53,6 @@ class MonodromyFactorization(_Value):
         object.__setattr__(self, "fiber_genus", fiber_genus)
         object.__setattr__(self, "cycles", cycles)
         object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "fiber", fiber)
 
 
 def _pairing_row(c: tuple[int, ...]) -> tuple[int, ...]:
@@ -81,17 +86,26 @@ def monodromy_product(m: MonodromyFactorization) -> IntMatrix:
     A twist matrix is the identity plus the rank-one sign * c (Jc)^T, so
     it multiplies the product P as P + sign * c ((Jc)^T P): O(n^2) work
     per twist, and O(n) per nonzero entry of c and Jc (one row update
-    each) for the few-term classes of vanishing cycles.
+    each) for the few-term classes of vanishing cycles.  Those row
+    updates, 2 * nnz(c) * n entries a twist, are summed before any is
+    made, and more than _MAX_TWIST_WORK in all are rejected.
     """
     n = 2 * m.fiber_genus
-    product = IntMatrix.identity(n).to_rows()
-    # class and pairing row by cycle object: repeated cycles are shared
-    by_cycle: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    for cycle, sign in zip(m.cycles, m.signs):
+    # class, pairing row and row work by cycle object: repeated cycles are shared
+    by_cycle: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
+    work = 0
+    for cycle in m.cycles:
         if id(cycle) not in by_cycle:
             c = exponent_vector(cycle)
-            by_cycle[id(cycle)] = c, _pairing_row(c)
-        c, jc = by_cycle[id(cycle)]
+            by_cycle[id(cycle)] = c, _pairing_row(c), 2 * (n - c.count(0)) * n
+        work += by_cycle[id(cycle)][2]
+    if work > _MAX_TWIST_WORK:
+        raise ValueError(
+            f"the twists take {work} row-entry updates, over the limit of {_MAX_TWIST_WORK}"
+        )
+    product = IntMatrix.identity(n).to_rows()
+    for cycle, sign in zip(m.cycles, m.signs):
+        c, jc, _ = by_cycle[id(cycle)]
         pairing = [0] * n
         for k, x in enumerate(jc):
             if x:
@@ -121,7 +135,7 @@ def total_space_pi1(m: MonodromyFactorization, trivial: bool | None = None) -> P
     label = "total space pi1"
     if not (homology_trivial(m) if trivial is None else trivial):
         label += " [caveat: monodromy product is not homologically trivial]"
-    fiber = m.fiber
+    fiber = m.cycles[0].alphabet if m.cycles else surface_generators(m.fiber_genus)
     surface = Presentation(fiber, (surface_relator(fiber),) if fiber else (), label=label)
     return quotient_by_normal_closure(surface, m.cycles)
 

@@ -35,14 +35,13 @@ _IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 class _Value:
     """An immutable value, in place of a frozen dataclass, whose import costs
     a cold start more than `classify` does.  A subclass lists its fields in
-    `__slots__` and those that equality, hashing and the repr read in
-    `_fields`, and sets them in `__init__` with `object.__setattr__`."""
+    `__slots__`, which equality, hashing and the repr all read, and sets
+    them in `__init__` with `object.__setattr__`."""
 
     __slots__ = ()
-    _fields: tuple[str, ...]
 
     def __init_subclass__(cls):
-        cls._key = attrgetter(*cls._fields)  # read in C: equality is on hot paths
+        cls._key = attrgetter(*cls.__slots__)  # read in C: equality is on hot paths
 
     def _immutable(self, name, *value):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
@@ -58,7 +57,7 @@ class _Value:
         return hash(self._key(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
 
@@ -83,7 +82,7 @@ class AlphabetMismatch(ValueError):
 class Generator(_Value):
     """A named generator.  Names follow the ident grammar above."""
 
-    __slots__ = _fields = ("name",)
+    __slots__ = ("name",)
 
     def __init__(self, name: str):
         if not _IDENT_RE.match(name):
@@ -94,7 +93,7 @@ class Generator(_Value):
 class Word(_Value):
     """A freely reduced word: letters are (generator index, sign) pairs."""
 
-    __slots__ = _fields = ("alphabet", "letters")
+    __slots__ = ("alphabet", "letters")
 
     def __init__(self, alphabet: tuple[Generator, ...], letters: tuple[tuple[int, int], ...]):
         n = len(alphabet)
@@ -114,9 +113,6 @@ class Word(_Value):
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    def render(self) -> str:
-        return render_word(self)
 
 
 def _free_reduce(letters: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -255,13 +251,16 @@ _MAX_PARSED_LETTERS = 1 << 18
 # relators t^d take _MAX_PARSED_LETTERS letters at most in all, so each
 # one still parses.  A fiber sum of base genus e adds 4 e f mixed
 # commutators on a genus-f fiber, so e f is capped as well as e.  A
-# fibration file's fiber_genus g makes the monodromy 2g x 2g matrices.
+# fibration file's fiber_genus g makes the monodromy 2g x 2g matrices,
+# and a twist by the class c updates 2 nnz(c) rows of them: the updated
+# entries are capped in sum over the twists (8 dense twists at genus 512).
 # Homology of (Z/2)^18 through degree 8 would print 1,188,678 torsion
 # summands, about 7 MB; (Z/2)^16, with 548,590, stays accepted.
 _MAX_WITNESS_GENERATORS = 256
 _MAX_BASE_GENUS = 1024
 _MAX_GENUS_PRODUCT = 1 << 14
 _MAX_FIBER_GENUS = 512
+_MAX_TWIST_WORK = 1 << 24
 _MAX_HOMOLOGY_SUMMANDS = 1 << 20
 # A group spec's largest invariant factor, the lcm of its torsion orders, may
 # take 4300 log2(10) bits, so that every factor prints within Python's

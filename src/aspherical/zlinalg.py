@@ -39,7 +39,7 @@ class DimensionMismatch(ValueError):
 class IntMatrix(_Value):
     """A rows x cols integer matrix, entries stored row-major."""
 
-    __slots__ = _fields = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: tuple[int, ...]):
         if rows < 0 or cols < 0:
@@ -126,7 +126,7 @@ def parse_matrix(text: str) -> IntMatrix:
 class SmithDecomposition(_Value):
     """u * a * v = d with u, v unimodular and d diagonal in divisor-chain form."""
 
-    __slots__ = _fields = ("d", "u", "v")
+    __slots__ = ("d", "u", "v")
 
     def __init__(self, d: IntMatrix, u: IntMatrix, v: IntMatrix):
         object.__setattr__(self, "d", d)
@@ -396,7 +396,7 @@ class FgAbelian(_Value):
     Equality of values is isomorphism of groups.
     """
 
-    __slots__ = _fields = ("free_rank", "torsion")
+    __slots__ = ("free_rank", "torsion")
 
     def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
         if free_rank < 0:

@@ -39,6 +39,9 @@ and the witness is rebuilt from those folds.  The witness is also built
 here in two stages, as `fibersum` once did: its fibered presentation
 over the fiber alphabet, then the fiber sum of that with a genus-1
 trivial bundle, which re-binds every relator to the larger alphabet.
+
+Last, the CLI's argparse grammar spelled out one subcommand at a time
+is the reference for the parser `cli` builds from its command table.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ import math
 from dataclasses import dataclass
 from functools import cache
 
-from aspherical.abhomology import GradedAbelian
 from aspherical.asphericity import Reason
 from aspherical.fibersum import (
     NotAspherical,
@@ -705,8 +707,8 @@ def homology_cyclic(n: int, k: int) -> FgAbelian:
     return FgAbelian(0, (n,)) if k % 2 else FgAbelian(0)
 
 
-def graded_cyclic(n: int, max_degree: int) -> GradedAbelian:
-    return GradedAbelian(tuple(homology_cyclic(n, k) for k in range(max_degree + 1)))
+def graded_cyclic(n: int, max_degree: int) -> tuple[FgAbelian, ...]:
+    return tuple(homology_cyclic(n, k) for k in range(max_degree + 1))
 
 
 # --- folded word construction ------------------------------------------------
@@ -827,3 +829,57 @@ def reference_witness_presentation(gamma: FgAbelian) -> Presentation:
         g, Presentation(gens, (surface_relator(gens),) + tuple(relators))
     )
     return fiber_sum_with_trivial_bundle(fibered, 1, label)
+
+
+# --- reference argv grammar --------------------------------------------------
+
+
+def reference_parser():
+    """The CLI's argparse grammar spelled out one subcommand at a time, as
+    `cli._build_parser` wrote it before it was built from the command
+    table: the reference for its help text and its namespaces."""
+    import argparse
+
+    from aspherical import cli
+
+    parser = argparse.ArgumentParser(
+        prog="aspherical",
+        description="Symplectically aspherical abelian groups: classification, "
+        "homology, Lefschetz fibration presentations and witnesses.",
+    )
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+    parser.add_argument(
+        "--max-degree",
+        type=int,
+        default=3,
+        help="default top homology degree for reports (at most 8)",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    p = sub.add_parser("classify", help="decide symplectic asphericity of an abelian group")
+    p.add_argument("group", help="group spec, e.g. Z^4+Z/2")
+    p.set_defaults(func=cli.cmd_classify)
+
+    p = sub.add_parser("homology", help="integral homology and real cohomology ranks")
+    p.add_argument("group")
+    p.add_argument("degree", nargs="?", type=int, default=None)
+    p.set_defaults(func=cli.cmd_homology)
+
+    p = sub.add_parser("fibration", help="report on a monodromy factorization file")
+    p.add_argument("file")
+    p.set_defaults(func=cli.cmd_fibration)
+
+    p = sub.add_parser("witness", help="emit a witness presentation for an aspherical group")
+    p.add_argument("group")
+    p.set_defaults(func=cli.cmd_witness)
+
+    p = sub.add_parser("snf", help="Smith normal form of a matrix file")
+    p.add_argument("file")
+    p.set_defaults(func=cli.cmd_snf)
+
+    p = sub.add_parser("fibersum", help="fiber sum of a fibered presentation with a trivial bundle")
+    p.add_argument("file", help="presentation file in surface-fibered form")
+    p.add_argument("-e", "--base-genus", type=int, default=1)
+    p.set_defaults(func=cli.cmd_fibersum)
+
+    return parser

@@ -1,11 +1,20 @@
-"""The CLI's direct argv reader, `cli._read_argv`, against argparse.
+"""The CLI's two argv readers, both built from the command table
+`cli._COMMANDS`, against argparse and against a spelled-out reference.
 
-For every argv of a generated corpus the reader must return None, or a
-namespace whose `vars()` equal those of `cli._build_parser().parse_args`,
-`func` included; it must never accept an argv that argparse rejects.
-The corpus crosses option prefixes (in every order, repeated, malformed,
-abbreviated, in `=` form) with the operands of every subcommand (missing,
-extra, negative, space-padded, `-`, `--`, `""`, `-h`).
+For every argv of a generated corpus the direct reader, `cli._read_argv`,
+must return None, or a namespace whose `vars()` equal those of
+`cli._build_parser().parse_args`, `func` included; it must never accept
+an argv that argparse rejects.  The corpus crosses option prefixes (in
+every order, repeated, malformed, abbreviated, in `=` form) with the
+operands of every subcommand (missing, extra, negative, space-padded,
+`-`, `--`, `""`, `-h`).
+
+The argparse parser built from the table must in turn match
+`oracles.reference_parser`, which spells each subcommand out: the same
+help text for the top level and every subcommand, and on the corpus the
+same namespace, exit status, stdout and stderr.  A reference parser, not
+stored digests, because argparse lays help out differently from one
+Python version to the next.
 
 Standard library only, so that it also runs on interpreters without
 pytest, against their own argparse:
@@ -13,11 +22,13 @@ pytest, against their own argparse:
     PYTHONPATH=src python tests/reader_differential.py
 """
 
+import argparse
 import contextlib
 import io
 import sys
 
 from aspherical import cli
+from oracles import reference_parser
 
 _PREFIXES = [
     [],
@@ -107,6 +118,36 @@ def corpus() -> list[list[str]]:
     return [prefix + tail for prefix in _PREFIXES for tail in _TAILS]
 
 
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> tuple:
+    """(namespace vars or None, exit status, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args, status = vars(parser.parse_args(list(argv))), None
+    except SystemExit as e:
+        args, status = None, e.code
+    return args, status, out.getvalue(), err.getvalue()
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def check_parser_against_reference() -> int:
+    """Compare the table-built parser with the reference: help screens,
+    then every parse of the corpus; return the number of help screens."""
+    table, reference = cli._build_parser(), reference_parser()
+    assert table.format_help() == reference.format_help()
+    commands, expected = _subparsers(table), _subparsers(reference)
+    assert list(commands) == list(expected)
+    for name, sub in commands.items():
+        assert sub.format_help() == expected[name].format_help(), name
+    for argv in corpus():
+        assert _parse(table, argv) == _parse(reference, argv), argv
+    return 1 + len(commands)
+
+
 def check_reader_against_argparse() -> tuple[int, int]:
     """Compare the reader with argparse on the corpus; return the number
     of argvs checked and the number the reader accepted."""
@@ -115,11 +156,7 @@ def check_reader_against_argparse() -> tuple[int, int]:
     argvs = corpus()
     for argv in argvs:
         fast = cli._read_argv(list(argv))
-        try:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                slow = vars(parser.parse_args(list(argv)))
-        except SystemExit:
-            slow = None
+        slow = _parse(parser, argv)[0]
         if fast is None:
             continue
         accepted += 1
@@ -130,5 +167,7 @@ def check_reader_against_argparse() -> tuple[int, int]:
 
 if __name__ == "__main__":
     checked, accepted = check_reader_against_argparse()
+    screens = check_parser_against_reference()
     print(f"Python {sys.version.split()[0]}: {checked} argvs, the reader accepted {accepted}, "
-          "each equal to argparse's namespace")
+          f"each equal to argparse's namespace; {screens} help screens and every parse "
+          "equal to the reference parser's")

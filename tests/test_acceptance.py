@@ -27,7 +27,7 @@ from aspherical.lefschetz import (
     total_space_pi1,
     twist_matrix,
 )
-from aspherical.word import cyclic_reduce, word_from_letters
+from aspherical.word import cyclic_reduce, parse_word, word_from_letters
 from aspherical.zlinalg import (
     FgAbelian,
     IntMatrix,
@@ -171,7 +171,7 @@ def test_criterion_7_lefschetz_quotients_and_twists():
         pi2 = surface_group(2)
         kill_all = MonodromyFactorization(
             2,
-            tuple(pi2.word(t) for t in ("a1", "b1", "a2", "b2")),
+            tuple(parse_word(t, pi2.generators) for t in ("a1", "b1", "a2", "b2")),
             (1, 1, 1, 1),
         )
         assert abelianization(total_space_pi1(kill_all)) == FgAbelian(0)
@@ -187,7 +187,7 @@ def test_criterion_7_lefschetz_quotients_and_twists():
             assert t.transpose().mul(j).mul(t) == j
             assert determinant(t) == 1
         pi1 = surface_group(1)
-        pair = [pi1.word("a1"), pi1.word("b1")]
+        pair = [parse_word("a1", pi1.generators), parse_word("b1", pi1.generators)]
         sixth = MonodromyFactorization(1, tuple(pair * 6), (1,) * 12)
         assert monodromy_product(sixth) == IntMatrix.identity(2)
         assert homology_trivial(sixth)

@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from oracles import chain_relation, reference_from_cyclic_orders
-from reader_differential import check_reader_against_argparse
-from aspherical import asphericity, cli, fibersum, zlinalg
+from oracles import chain_relation, reference_from_cyclic_orders, reference_parser
+from reader_differential import check_parser_against_reference, check_reader_against_argparse
+from aspherical import asphericity, cli, fibersum, lefschetz, zlinalg
 from aspherical.cli import GroupSpecError, main, parse_group_spec
 from aspherical.word import (
     _MAX_BASE_GENUS,
@@ -23,9 +23,11 @@ from aspherical.word import (
     _MAX_PARSED_LETTERS,
     _MAX_TORSION_BITS,
     _MAX_TORSION_DIGITS,
+    _MAX_TWIST_WORK,
     _MAX_WITNESS_GENERATORS,
+    exponent_vector,
 )
-from aspherical.zlinalg import FgAbelian
+from aspherical.zlinalg import FgAbelian, IntMatrix
 
 
 def run(capsys, *argv):
@@ -334,6 +336,39 @@ def test_constructions_over_their_limits_exit_2_before_any_work(capsys, tmp_path
     assert f"limit of {_MAX_FIBER_GENUS}" in err
 
 
+def _no_twist_loop(n):
+    raise AssertionError("an over-limit file reached the twist loop")
+
+
+def test_fibration_over_the_twist_limit_exits_2_before_any_twist(capsys, tmp_path, monkeypatch):
+    # A dense class at genus 512 updates 2 * 1024 rows of 1024 entries a
+    # twist, about 0.2 s; the limit admits 8 such twists, repeated or not.
+    assert 8 * 2 * 1024 * 1024 == _MAX_TWIST_WORK
+    dense = " ".join(f"{x}{i}^{1 + i % 3}" for i in range(1, 513) for x in "ab")
+    fibration = tmp_path / "dense.txt"
+    # The product starts from the identity only once the work is checked.
+    monkeypatch.setattr(IntMatrix, "identity", staticmethod(_no_twist_loop))
+    for twists in (9, 40):
+        fibration.write_text("fibration dense\nfiber_genus 512\n" + f"cycle + {dense}\n" * twists)
+        code, out, err = run(capsys, "fibration", str(fibration))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: the twists take {twists * 2 * 1024 * 1024} row-entry updates, "
+            f"over the limit of {_MAX_TWIST_WORK}\n"
+        )
+    fibration.write_text("fibration dense\nfiber_genus 512\n" + f"cycle - {dense}\n" * 8)
+    with pytest.raises(AssertionError, match="twist loop"):
+        run(capsys, "fibration", str(fibration))
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_chain_relation_twist_work_is_far_under_the_limit(g):
+    m, _ = lefschetz.parse_factorization(chain_relation(g))
+    n = 2 * g
+    work = sum(2 * (n - exponent_vector(c).count(0)) * n for c in m.cycles)
+    assert work < _MAX_TWIST_WORK // 1000
+
+
 def _surface_file(g, extra_relators=()):
     """A fibered presentation file: the genus-g surface generators and
     relator, then the given relators."""
@@ -398,6 +433,10 @@ def test_reader_returns_argparse_namespace_or_none():
         ["witness", "Z^4+Z/2"],
     ):
         assert cli._read_argv(argv) is not None, argv
+
+
+def test_parser_built_from_the_command_table_matches_the_reference():
+    assert check_parser_against_reference() == 7  # the top level and six subcommands
 
 
 _Z2_11 = "+".join(["Z/2"] * 11)
@@ -745,7 +784,7 @@ def test_plain_argv_in_a_fresh_interpreter_imports_no_argparse():
     )
     proc = launch("--help")
     assert proc.returncode == 0
-    assert proc.stdout == cli._build_parser().format_help()
+    assert proc.stdout == reference_parser().format_help()
     assert proc.stdout.startswith("usage: aspherical [-h] [--format {text,json}]")
     assert "'argparse'" in proc.stderr
     proc = launch("not-a-command")

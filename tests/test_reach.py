@@ -29,7 +29,6 @@ KEPT_FOR_TESTS = {
     # Helpers of names the tracer pins (`kunneth`, `tensor`, `tor`,
     # `presentation_chain_for`, `free_product`, `primary_decomposition`);
     # they go with those names once the benchmark stops binding them.
-    ("abhomology", "GradedAbelian.top_degree"),
     ("abhomology", "_add_tensor"),
     ("abhomology", "_add_tor"),
     ("abhomology", "_counted"),
@@ -51,9 +50,7 @@ KEPT_FOR_TESTS = {
     ("word", "_Value._immutable"),
     # Word, presentation and matrix constructors used by the tests and
     # `tests/oracles.py` (the reference chain, fiber sum and cokernel).
-    ("fpgroup", "Presentation.word"),
     ("fpgroup", "free_group"),
-    ("word", "Word.render"),
     ("word", "commutator"),
     ("word", "empty_word"),
     ("word", "generator_word"),

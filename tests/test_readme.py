@@ -1,11 +1,13 @@
-"""The README's Library example runs as printed, and the package root
-exports exactly the names that example imports."""
+"""The README's Library example runs as printed, the package root
+exports exactly the names that example imports, and the limits table
+lists every `_MAX_*` constant of `aspherical.word` with its value."""
 
 import ast
 import re
 from pathlib import Path
 
 import aspherical
+from aspherical import word
 
 _README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -25,3 +27,14 @@ def test_readme_library_example_runs_and_imports_the_root_exports():
         for alias in node.names
     ]
     assert sorted(aspherical.__all__) == sorted(imported)
+
+
+def test_readme_limits_table_matches_the_constants():
+    constants = {name: getattr(word, name) for name in vars(word) if name.startswith("_MAX_")}
+    text = _README.read_text()
+    rows = re.findall(r"^\| `(_MAX_\w+)` \| ([^|]*) \|", text, re.M)  # (constant, value cell)
+    assert sorted({name for name, _ in rows}) == sorted(constants)
+    for name, cell in rows:
+        assert str(constants[name]) in re.findall(r"\d+", cell), (name, cell)
+    named = set(re.findall(r"`(_MAX_\w+)`", text))
+    assert sorted(named - set(constants)) == [], "named in the README but not defined"

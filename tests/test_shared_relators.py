@@ -140,9 +140,10 @@ def test_chain_relation_cycles_stay_shared_through_the_constructions(g):
     m, _ = parse_factorization(text)
     assert len(m.cycles) == (2 * g + 1) * (2 * g + 2)
     assert _distinct(m.cycles) == len(lines)
-    assert all(c.alphabet is m.fiber for c in m.cycles)
+    fiber = m.cycles[0].alphabet
+    assert all(c.alphabet is fiber for c in m.cycles)
     pi1 = total_space_pi1(m)
-    assert pi1.generators is m.fiber
+    assert pi1.generators is fiber
     assert _distinct(pi1.relators) == len(lines) + 1
     total = fiber_sum_with_trivial_bundle(SurfaceFiberedPresentation(g, pi1), 2)
     extra = total.relators[2 + 8 * g :]

@@ -20,6 +20,7 @@ from aspherical.word import (
     WordSyntaxError,
     cyclic_reduce,
     parse_word,
+    render_word,
     word_from_letters,
 )
 from aspherical.zlinalg import (
@@ -88,9 +89,9 @@ def test_word_parser_handles_adversarial_but_valid_input():
     deep = "[a1," * 10 + "b1" + "]" * 10
     w = parse_word(deep, alphabet)
     assert len(w) == 2066  # doubling recurrence minus boundary cancellations
-    assert parse_word(w.render(), alphabet) == w
-    assert parse_word("((((a1))))^-1", alphabet).render() == "a1^-1"
-    assert parse_word("a1^0 * b1^0", alphabet).render() == "1"
+    assert parse_word(render_word(w), alphabet) == w
+    assert render_word(parse_word("((((a1))))^-1", alphabet)) == "a1^-1"
+    assert render_word(parse_word("a1^0 * b1^0", alphabet)) == "1"
 
 
 def test_word_parser_caps_runaway_expansion():

@@ -4,6 +4,7 @@ import pytest
 
 from oracles import determinant, epi_exists_oracle, is_surjective_onto
 from aspherical.fpgroup import GroupHom, free_group, pinch_presentation_map, surface_group
+from aspherical.word import parse_word
 from aspherical.zlinalg import (
     DimensionMismatch,
     FgAbelian,
@@ -259,7 +260,7 @@ def test_direct_sum_and_contains_summand():
 
 def test_induced_matrix_identity_and_pinch():
     f3 = free_group(3)
-    identity = GroupHom(f3, f3, tuple(f3.word(g.name) for g in f3.generators))
+    identity = GroupHom(f3, f3, tuple(parse_word(g.name, f3.generators) for g in f3.generators))
     assert induced_matrix(identity) == IntMatrix.identity(3)
     assert induced_matrix(pinch_presentation_map(1, 1)) == IntMatrix.identity(4)
 
