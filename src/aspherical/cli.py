@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 from . import abhomology, asphericity, fibersum, lefschetz, zlinalg
 from .fpgroup import parse_presentation, render_presentation
-from .word import _MAX_TORSION_BITS, _MAX_TORSION_DIGITS
+from .word import _MAX_FREE_RANK, _MAX_TORSION_BITS, _MAX_TORSION_DIGITS, _MAX_TORSION_ORDERS
 from .zlinalg import FgAbelian
 
 if TYPE_CHECKING:
@@ -90,8 +90,14 @@ def parse_group_spec(text: str) -> FgAbelian:
             if top.bit_length() > _MAX_TORSION_BITS:
                 raise GroupSpecError(too_big)
             counts[d] = counts.get(d, 0) + 1
+            if len(counts) > _MAX_TORSION_ORDERS:  # equal orders count once
+                raise GroupSpecError(
+                    f"distinct torsion orders over the limit of {_MAX_TORSION_ORDERS}"
+                )
         else:
             raise GroupSpecError(f"cannot parse term {term!r}")
+        if free_rank > _MAX_FREE_RANK:
+            raise GroupSpecError(f"free rank over the limit of {_MAX_FREE_RANK}")
     return FgAbelian.from_counts(free_rank, counts)
 
 
@@ -234,7 +240,8 @@ def cmd_fibersum(args: Args) -> int:
     fibered = fibersum.SurfaceFiberedPresentation(len(p.generators) // 2, p)
     result = fibersum.fiber_sum_with_trivial_bundle(fibered, args.base_genus)
     ab = zlinalg.abelianization(result)
-    expected = zlinalg.abelianization(p).direct_sum(FgAbelian(2 * args.base_genus))
+    ab_p = zlinalg.abelianization(p)  # a free summand leaves the invariant factors as they are
+    expected = FgAbelian(ab_p.free_rank + 2 * args.base_genus, ab_p.torsion)
     _emit(args, {
         "fiber_genus": fibered.fiber_genus,
         "base_genus": args.base_genus,

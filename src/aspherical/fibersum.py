@@ -28,7 +28,6 @@ from .word import (
     Generator,
     Word,
     _Value,
-    generator_word,
 )
 from .zlinalg import FgAbelian
 
@@ -146,7 +145,7 @@ def presentation_chain_for(gamma: FgAbelian) -> tuple[GroupHom, int]:
     trivial = Word(target.generators, ())
 
     def tgt(i: int) -> Word:
-        return generator_word(target.generators, i)
+        return Word(target.generators, ((i, 1),))
 
     collapse: list[Word] = []
     for i in range(h):

@@ -1,10 +1,10 @@
 """Finitely presented groups and presentation-level homomorphisms.
 
 Covers the constructors the constructions need: surface groups with the
-standard one-relator presentation, free groups, free products,
-quotients by normal closures of word sets, presentations of
-finitely generated abelian groups, and the pinch map collapsing the
-separating circle of a genus sum.
+standard one-relator presentation, free products, quotients by normal
+closures of word sets, presentations of finitely generated abelian
+groups, and the pinch map collapsing the separating circle of a genus
+sum.
 
 Homomorphisms carry one image word per source generator.  Validity is
 certified at the abelianized level only (the image of every source
@@ -20,7 +20,6 @@ from collections.abc import Iterable
 from . import zlinalg
 from .word import (
     Generator,
-    UnknownGenerator,
     Word,
     _Value,
     _free_reduce,
@@ -28,7 +27,6 @@ from .word import (
     _render_letters,
     cyclic_reduce,
     exponent_vector,
-    generator_word,
     parse_word,
     render_word,
 )
@@ -124,13 +122,6 @@ def compose(f: GroupHom, g: GroupHom) -> GroupHom:
 # --- constructors -----------------------------------------------------------
 
 
-def free_group(r: int) -> Presentation:
-    if r < 0:
-        raise ValueError("negative rank")
-    gens = tuple(Generator(f"g{i + 1}") for i in range(r))
-    return Presentation(gens, (), label=f"F_{r}")
-
-
 def surface_generators(g: int, letters: str = "ab") -> tuple[Generator, ...]:
     """a_1,b_1,...,a_g,b_g (or the pairs named by `letters`), in order."""
     return tuple(Generator(f"{c}{i + 1}") for i in range(g) for c in letters)
@@ -189,20 +180,10 @@ def free_product(p: Presentation, q: Presentation) -> Presentation:
 
 
 def quotient_by_normal_closure(p: Presentation, ws: Iterable[Word]) -> Presentation:
-    """Extend p's relators by the cyclically reduced words ws."""
-    extra = []
-    for w in ws:
-        if w.alphabet is not p.generators and w.alphabet != p.generators:
-            names = {g.name for g in p.generators}
-            for g in w.alphabet:
-                if g.name not in names:
-                    raise UnknownGenerator(g.name)
-            w = Word(
-                p.generators,
-                tuple((p.generators.index(w.alphabet[i]), s) for i, s in w.letters),
-            )
-        extra.append(cyclic_reduce(w))
-    return Presentation(p.generators, p.relators + tuple(extra), label=p.label)
+    """Extend p's relators by the cyclically reduced words ws, which must
+    be over p's generators."""
+    extra = tuple(cyclic_reduce(w) for w in ws)
+    return Presentation(p.generators, p.relators + extra, label=p.label)
 
 
 def abelian_presentation(g: FgAbelian) -> Presentation:
@@ -231,7 +212,7 @@ def pinch_presentation_map(g1: int, g2: int) -> GroupHom:
         raise InvalidGenus(f"need g1 >= 0 and g2 >= 1, got ({g1}, {g2})")
     source = surface_group(g1 + g2)
     target = free_product(surface_group(g1), surface_group(g2))
-    images = tuple(generator_word(target.generators, i) for i in range(len(source.generators)))
+    images = tuple(Word(target.generators, ((i, 1),)) for i in range(len(source.generators)))
     return GroupHom(source, target, images)
 
 

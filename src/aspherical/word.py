@@ -75,10 +75,6 @@ class UnknownGenerator(ValueError):
         self.name = name
 
 
-class AlphabetMismatch(ValueError):
-    pass
-
-
 class Generator(_Value):
     """A named generator.  Names follow the ident grammar above."""
 
@@ -127,40 +123,6 @@ def _free_reduce(letters: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], .
 
 def _inv(letters: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
     return [(i, -s) for i, s in reversed(letters)]
-
-
-def word_from_letters(
-    alphabet: Sequence[Generator], letters: Iterable[tuple[int, int]]
-) -> Word:
-    """Build a word, freely reducing the given letters."""
-    return Word(tuple(alphabet), _free_reduce(letters))
-
-
-def empty_word(alphabet: Sequence[Generator]) -> Word:
-    return Word(tuple(alphabet), ())
-
-
-def generator_word(alphabet: Sequence[Generator], index: int, sign: int = 1) -> Word:
-    return Word(tuple(alphabet), ((index, sign),))
-
-
-def multiply(u: Word, v: Word) -> Word:
-    """Freely reduced concatenation.  Both factors must share an alphabet."""
-    if u.alphabet != v.alphabet:
-        raise AlphabetMismatch("cannot multiply words over different alphabets")
-    return Word(u.alphabet, _free_reduce(u.letters + v.letters))
-
-
-def invert(w: Word) -> Word:
-    return Word(w.alphabet, tuple(_inv(w.letters)))
-
-
-def commutator(u: Word, v: Word) -> Word:
-    """The word u v u^-1 v^-1, freely reduced in one pass."""
-    if u.alphabet is not v.alphabet and u.alphabet != v.alphabet:
-        raise AlphabetMismatch("cannot take a commutator of words over different alphabets")
-    letters = [*u.letters, *v.letters, *_inv(u.letters), *_inv(v.letters)]
-    return Word(u.alphabet, _free_reduce(letters))
 
 
 def cyclic_reduce(w: Word) -> Word:
@@ -267,6 +229,11 @@ _MAX_HOMOLOGY_SUMMANDS = 1 << 20
 # 4300-digit int-to-str limit.  A term of more digits is refused unparsed.
 _MAX_TORSION_BITS = 14284
 _MAX_TORSION_DIGITS = 4300
+# `classify Z^r` lists r/2 realizable dimensions, so the free rank is capped;
+# the coprime base of the distinct torsion orders costs each order up to
+# about 1,200 gcds under the lcm cap, so their number is capped too.
+_MAX_FREE_RANK = 1 << 20
+_MAX_TORSION_ORDERS = 4096
 
 
 class _Parser:

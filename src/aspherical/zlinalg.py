@@ -82,13 +82,6 @@ class IntMatrix(_Value):
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
-
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
@@ -442,11 +435,6 @@ class FgAbelian(_Value):
             elif n > 1:
                 counts[n] = counts.get(n, 0) + 1
         return cls.from_counts(free_rank, counts)
-
-    def direct_sum(self, other: "FgAbelian") -> "FgAbelian":
-        counts = Counter(self.torsion)
-        counts.update(other.torsion)
-        return FgAbelian.from_counts(self.free_rank + other.free_rank, counts)
 
     def contains_summand(self, other: "FgAbelian") -> bool:
         """True when self is isomorphic to other plus a complement.

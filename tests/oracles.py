@@ -35,7 +35,9 @@ comparison in `zlinalg.in_row_lattice`.
 The words that `word`, `fpgroup` and `fibersum` now lay out letter by
 letter are also made here in their old folded form: every product goes
 through `multiply`, so each intermediate word is reduced and validated,
-and the witness is rebuilt from those folds.  The witness is also built
+and the witness is rebuilt from those folds.  The word, free group and
+transpose constructors the tests build their inputs with live here too,
+since no command needs them in `aspherical`.  The witness is also built
 here in two stages, as `fibersum` once did: its fibered presentation
 over the fiber alphabet, then the fiber sum of that with a genus-1
 trivial bundle, which re-binds every relator to the larger alphabet.
@@ -57,14 +59,7 @@ from aspherical.fibersum import (
     fiber_sum_with_trivial_bundle,
 )
 from aspherical.fpgroup import GroupHom, Presentation, surface_group, surface_relator
-from aspherical.word import (
-    Generator,
-    Word,
-    empty_word,
-    generator_word,
-    invert,
-    multiply,
-)
+from aspherical.word import Generator, Word
 from aspherical.zlinalg import (
     DimensionMismatch,
     FgAbelian,
@@ -632,7 +627,7 @@ def _orders(g: FgAbelian) -> tuple[int, ...]:
     return (0,) * g.free_rank + g.torsion
 
 
-def _reference_direct_sum(a: FgAbelian, b: FgAbelian) -> FgAbelian:
+def reference_direct_sum(a: FgAbelian, b: FgAbelian) -> FgAbelian:
     return reference_from_cyclic_orders(_orders(a) + _orders(b))
 
 
@@ -653,9 +648,9 @@ def reference_kunneth(ha, hb, n: int) -> FgAbelian:
     every direct sum."""
     out = FgAbelian(0)
     for i in range(n + 1):
-        out = _reference_direct_sum(out, _reference_tensor(ha[i], hb[n - i]))
+        out = reference_direct_sum(out, _reference_tensor(ha[i], hb[n - i]))
     for i in range(n):
-        out = _reference_direct_sum(out, _reference_tor(ha[i], hb[n - 1 - i]))
+        out = reference_direct_sum(out, _reference_tor(ha[i], hb[n - 1 - i]))
     return out
 
 
@@ -712,6 +707,50 @@ def graded_cyclic(n: int, max_degree: int) -> tuple[FgAbelian, ...]:
 
 
 # --- folded word construction ------------------------------------------------
+
+
+def _reduce(letters) -> tuple[tuple[int, int], ...]:
+    out: list[tuple[int, int]] = []
+    for i, s in letters:
+        if out and out[-1] == (i, -s):
+            out.pop()
+        else:
+            out.append((i, s))
+    return tuple(out)
+
+
+def word_from_letters(alphabet, letters) -> Word:
+    """The freely reduced word on `letters`."""
+    return Word(tuple(alphabet), _reduce(letters))
+
+
+def empty_word(alphabet) -> Word:
+    return Word(tuple(alphabet), ())
+
+
+def generator_word(alphabet, index: int, sign: int = 1) -> Word:
+    return Word(tuple(alphabet), ((index, sign),))
+
+
+def multiply(u: Word, v: Word) -> Word:
+    """Freely reduced concatenation of two words over one alphabet."""
+    if u.alphabet != v.alphabet:
+        raise ValueError("cannot multiply words over different alphabets")
+    return Word(u.alphabet, _reduce(u.letters + v.letters))
+
+
+def invert(w: Word) -> Word:
+    return Word(w.alphabet, tuple((i, -s) for i, s in reversed(w.letters)))
+
+
+def free_group(r: int) -> Presentation:
+    """<g1, ..., gr | >."""
+    return Presentation(tuple(Generator(f"g{i + 1}") for i in range(r)), (), label=f"F_{r}")
+
+
+def transpose(a: IntMatrix) -> IntMatrix:
+    entries = tuple(a.at(i, j) for j in range(a.cols) for i in range(a.rows))
+    return IntMatrix(a.cols, a.rows, entries)
 
 
 def reference_commutator(u: Word, v: Word) -> Word:

@@ -13,16 +13,18 @@ import pytest
 
 from oracles import chain_relation, reference_from_cyclic_orders, reference_parser
 from reader_differential import check_parser_against_reference, check_reader_against_argparse
-from aspherical import asphericity, cli, fibersum, lefschetz, zlinalg
+from aspherical import abhomology, asphericity, cli, fibersum, lefschetz, zlinalg
 from aspherical.cli import GroupSpecError, main, parse_group_spec
 from aspherical.word import (
     _MAX_BASE_GENUS,
     _MAX_FIBER_GENUS,
+    _MAX_FREE_RANK,
     _MAX_GENUS_PRODUCT,
     _MAX_HOMOLOGY_SUMMANDS,
     _MAX_PARSED_LETTERS,
     _MAX_TORSION_BITS,
     _MAX_TORSION_DIGITS,
+    _MAX_TORSION_ORDERS,
     _MAX_TWIST_WORK,
     _MAX_WITNESS_GENERATORS,
     exponent_vector,
@@ -587,7 +589,7 @@ def test_golden_stdout_from_files(capsys, tmp_path, argv, code, text_sha, json_s
 
 
 def test_homology_huge_free_rank_is_counted(capsys):
-    m = 10**8
+    m = _MAX_FREE_RANK
     assert parse_group_spec(f"Z^{m}+Z/2") == FgAbelian(m, (2,))
     code, out, _ = run(capsys, "homology", f"Z^{m}", "3")
     assert code == 0
@@ -688,8 +690,8 @@ def test_witness_of_rank_40_in_bounded_time(capsys):
     assert "abelianization_check: PASS" in out
 
 
-def _no_normalisation(*args):
-    raise AssertionError("a rejected spec reached the normaliser")
+def _no_heavy_work(*args, **kwargs):
+    raise AssertionError("a rejected spec reached the work its limit guards")
 
 
 def test_group_spec_over_the_torsion_limit_exits_2_before_any_work(capsys, monkeypatch):
@@ -704,7 +706,7 @@ def test_group_spec_over_the_torsion_limit_exits_2_before_any_work(capsys, monke
         f"Z^4+Z/3+Z/{2 ** (_MAX_TORSION_BITS - 1)}",  # the lcm is over, each order under
         "Z^4+Z/" + "9" * (_MAX_TORSION_DIGITS + 1),  # refused before int() reads it
     ]
-    monkeypatch.setattr(zlinalg, "_chain_from_counts", _no_normalisation)
+    monkeypatch.setattr(zlinalg, "_chain_from_counts", _no_heavy_work)
     for spec in over:
         for command in (["classify", spec], ["homology", spec, "3"]):
             code, out, err = run(capsys, *command)
@@ -731,6 +733,75 @@ def test_group_spec_over_the_torsion_limit_exits_2_before_any_work(capsys, monke
     assert out.splitlines()[0].endswith(f" + Z/{lcm}")
     with pytest.raises(GroupSpecError, match="limit"):
         parse_group_spec(fits + f"+Z/{orders[k]}")
+
+
+def test_group_spec_over_the_free_rank_limit_exits_2_before_any_work(capsys, monkeypatch):
+    # `classify Z^4194304` printed 18 MB of realizable dimensions, and a
+    # free rank of 1001 digits failed at Python's int-to-str limit.
+    over = [
+        f"Z^{_MAX_FREE_RANK + 1}",
+        "Z^" + "9" * 1001,
+        f"Z^{_MAX_FREE_RANK}+Z/2+Z",  # over after the last term only
+    ]
+    monkeypatch.setattr(asphericity, "realizable_dimensions", _no_heavy_work)
+    monkeypatch.setattr(abhomology, "group_homology_graded", _no_heavy_work)
+    for spec in over:
+        for command in (["classify", spec], ["homology", spec, "8"], ["witness", spec]):
+            code, out, err = run(capsys, *command)
+            assert (code, out) == (2, ""), (command[0], spec[:40])
+            assert err == f"error: free rank over the limit of {_MAX_FREE_RANK}\n"
+    monkeypatch.undo()
+
+    # At the limit: half a million realizable dimensions, in bounded time.
+    best, code, out, _ = _best_of_3(capsys, "classify", f"Z^{_MAX_FREE_RANK}+Z/2")
+    assert best < 2.0
+    assert code == 0
+    assert "realizable_dims: 4; 6; 8; " in out
+    assert f"; {_MAX_FREE_RANK}\n" in out
+
+
+def _three_prime_products(n: int) -> list[int]:
+    """n distinct products of three primes below 9000, every such prime
+    among them: the lcm stays under the torsion limit, and the coprime
+    base of the orders is as large as that limit allows."""
+    primes = [p for p in range(2, 9000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    orders = dict.fromkeys(math.prod(primes[i : i + 3]) for i in range(len(primes) - 2))
+    rng = random.Random(4096)
+    while len(orders) < n:
+        a, b, c = rng.sample(primes, 3)
+        orders[a * b * c] = None
+    return list(orders)[:n]
+
+
+def test_group_spec_over_the_torsion_orders_limit_exits_2_before_any_work(capsys, monkeypatch):
+    # 9,381 distinct three-prime products took 4 s; the coprime base costs
+    # each distinct order up to about 1,200 gcds.
+    worst = _three_prime_products(_MAX_TORSION_ORDERS + 1)
+    over = [
+        "Z^4+" + "+".join(f"Z/{d}" for d in worst),
+        "Z^4+" + "+".join(f"Z/{d}" for d in range(2, _MAX_TORSION_ORDERS + 3)),
+    ]
+    monkeypatch.setattr(zlinalg, "_chain_from_counts", _no_heavy_work)
+    for spec in over:
+        for command in (["classify", spec], ["homology", spec, "3"], ["witness", spec]):
+            code, out, err = run(capsys, *command)
+            assert (code, out) == (2, ""), command[0]
+            assert err == (
+                f"error: distinct torsion orders over the limit of {_MAX_TORSION_ORDERS}\n"
+            )
+    monkeypatch.undo()
+
+    # Equal orders count once.
+    repeats = "+".join(f"Z/{d}" for d in range(2, _MAX_TORSION_ORDERS + 2) for _ in range(2))
+    assert parse_group_spec(repeats).torsion[-1] == math.lcm(*range(2, _MAX_TORSION_ORDERS + 2))
+
+    # At the limit, the worst spec runs in bounded time.
+    spec = "Z^4+" + "+".join(f"Z/{d}" for d in worst[:-1])
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "classify", spec)
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert out.splitlines()[0].endswith(f" + Z/{math.lcm(*worst[:-1])}")
 
 
 def test_classify_in_a_fresh_interpreter_imports_no_dataclasses_or_json():

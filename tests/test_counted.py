@@ -90,7 +90,6 @@ def test_large_shared_prime_factors():
     assert both.contains_summand(pq) and both.contains_summand(p2q)
     assert FgAbelian.from_cyclic_orders([P * P, Q * P]) == FgAbelian(0, (P, P * P * Q))
     assert FgAbelian.from_cyclic_orders([P * Q, Q * R, R * P]) == FgAbelian(0, (P * Q * R, P * Q * R))
-    assert pq.direct_sum(FgAbelian(0, (P,))) == FgAbelian(0, (P, P * Q))
 
 
 def _lift(d: int) -> int:

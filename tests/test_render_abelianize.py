@@ -10,7 +10,7 @@ each relator, and the dense cokernel of the relator matrix.
 import itertools
 import random
 
-from oracles import chain_relation, reference_cokernel
+from oracles import chain_relation, reference_cokernel, word_from_letters
 from aspherical.fibersum import (
     SurfaceFiberedPresentation,
     fiber_sum_with_trivial_bundle,
@@ -24,7 +24,6 @@ from aspherical.word import (
     cyclic_reduce,
     parse_word,
     render_word,
-    word_from_letters,
 )
 from aspherical.zlinalg import FgAbelian, abelianization, relator_matrix
 

