@@ -11,7 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from oracles import chain_relation, reference_from_cyclic_orders, reference_parser
+from oracles import (
+    chain_relation,
+    reference_direct_sum,
+    reference_from_cyclic_orders,
+    reference_parser,
+)
 from reader_differential import check_parser_against_reference, check_reader_against_argparse
 from aspherical import abhomology, asphericity, cli, fibersum, lefschetz, zlinalg
 from aspherical.cli import GroupSpecError, main, parse_group_spec
@@ -291,6 +296,20 @@ def test_fibersum_command(capsys, tmp_path):
     assert "abelianization_check: PASS" in out
     assert "base_genus: 2" in out
     assert "abelianization: Z^5" in out
+
+
+def test_fibersum_expected_abelianization_keeps_the_torsion(capsys, tmp_path):
+    f = tmp_path / "x.txt"
+    f.write_text("group x\ngens a1 b1 a2 b2\nrel [a1,b1] [a2,b2]\nrel a1^6\nrel b1^4\nrel a2^3\n")
+    ab = FgAbelian.from_cyclic_orders([6, 4, 3, 0])
+    for e in (1, 2, 3):
+        code, out, _ = run(capsys, "--format", "json", "fibersum", str(f), "-e", str(e))
+        assert code == 0
+        report = json.loads(out)
+        expected = reference_direct_sum(ab, FgAbelian(2 * e)).render()
+        assert report["expected_abelianization"] == expected
+        assert report["abelianization"] == expected
+        assert report["abelianization_check"] == "PASS"
 
 
 def test_fibersum_rejects_bad_shapes(capsys, tmp_path):

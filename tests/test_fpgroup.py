@@ -285,6 +285,36 @@ def test_free_product_triple_name_clash():
     assert [g.name for g in p.generators] == ["g1", "g1_2", "g1_3"]
 
 
+def test_quotient_rejects_words_over_sub_alphabets():
+    # A word over some of p's generators is not rebound by name.
+    pi1 = surface_group(1)
+    w = parse_word("a1^2", (Generator("a1"),))
+    with pytest.raises(ValueError, match="relator over a different alphabet"):
+        quotient_by_normal_closure(pi1, [w])
+    equal = tuple(list(pi1.generators))
+    assert equal is not pi1.generators
+    q = quotient_by_normal_closure(pi1, [parse_word("a1^2", equal)])
+    assert q.relators[-1] == parse_word("a1^2", pi1.generators)
+    assert abelianization(q) == FgAbelian.from_cyclic_orders([0, 2])
+
+
+def test_relator_free_presentation_is_free():
+    for r in range(5):
+        names = " ".join(f"g{i + 1}" for i in range(r))
+        p = parse_presentation(f"group F_{r}\ngens {names}\n")
+        assert [g.name for g in p.generators] == [f"g{i + 1}" for i in range(r)]
+        assert p.relators == ()
+        assert abelianization(p) == FgAbelian(r)
+        assert parse_presentation(render_presentation(p)) == p
+
+
+def test_pinch_images_are_the_target_generators():
+    for g1 in range(3):
+        for g2 in range(1, 3):
+            u = pinch_presentation_map(g1, g2)
+            assert [render_word(w) for w in u.images] == [g.name for g in u.target.generators]
+
+
 def test_pinch_map_abelianization_is_identity_for_all_small_genera():
     for g1 in range(3):
         for g2 in range(1, 3):

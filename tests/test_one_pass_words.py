@@ -1,7 +1,8 @@
 """The one-pass word functions against the folds they replaced.
 
-`surface_relator`, `apply_hom` and `cyclic_reduce` lay out their letters
-and reduce once; `in_row_lattice` compares two cokernels.
+The commutator brackets of `parse_word`, `surface_relator`, `apply_hom`
+and `cyclic_reduce` lay out their letters and reduce once;
+`in_row_lattice` compares two cokernels.
 The references in `tests/oracles.py` build the same words through
 `multiply` and answer membership from the Smith transform V.
 """
@@ -14,6 +15,7 @@ from oracles import (
     invert,
     multiply,
     reference_apply_hom,
+    reference_commutator,
     reference_cyclic_reduce,
     reference_in_row_lattice,
     reference_surface_relator,
@@ -29,7 +31,7 @@ from aspherical.fpgroup import (
     surface_group,
     surface_relator,
 )
-from aspherical.word import Generator, Word, cyclic_reduce, parse_word
+from aspherical.word import Generator, Word, cyclic_reduce, parse_word, render_word
 from aspherical.zlinalg import FgAbelian, IntMatrix, in_row_lattice
 
 
@@ -38,6 +40,37 @@ def _random_word(rng, alphabet, max_len):
         (rng.randrange(len(alphabet)), rng.choice((1, -1))) for _ in range(rng.randrange(max_len))
     ]
     return word_from_letters(alphabet, letters)
+
+
+def _partner(rng, alphabet, u):
+    """A word whose junctions with u, u^-1 cancel: u itself, its inverse,
+    a piece of it or of its inverse, or a conjugate of it."""
+    x = _random_word(rng, alphabet, 4)
+    k = rng.randrange(len(u) + 1)
+    return rng.choice(
+        [
+            u,
+            invert(u),
+            Word(u.alphabet, u.letters[:k]),
+            Word(u.alphabet, u.letters[k:]),
+            invert(Word(u.alphabet, u.letters[k:])),
+            multiply(multiply(x, u), invert(x)),
+            _random_word(rng, alphabet, 6),
+        ]
+    )
+
+
+def test_commutator_matches_fold():
+    rng = random.Random(1501)
+    for n in (1, 2, 3):
+        alphabet = tuple(Generator(f"g{i + 1}") for i in range(n))
+        for _ in range(400):
+            u = _random_word(rng, alphabet, 8)
+            v = _partner(rng, alphabet, u)
+            if rng.random() < 0.5:
+                u, v = v, u
+            text = f"[{render_word(u)},{render_word(v)}]"
+            assert parse_word(text, alphabet) == reference_commutator(u, v)
 
 
 def test_cyclic_reduce_matches_stripping():

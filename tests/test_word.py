@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from oracles import empty_word, generator_word, multiply, reference_commutator, word_from_letters
+from oracles import (
+    empty_word,
+    generator_word,
+    invert,
+    multiply,
+    reference_commutator,
+    word_from_letters,
+)
 from aspherical.word import (
     Generator,
     UnknownGenerator,
@@ -128,6 +135,31 @@ def _random_letters(rng, length):
 
 def _random_word(rng, max_len=12):
     return word_from_letters(AB, _random_letters(rng, rng.randrange(max_len)))
+
+
+def test_parse_concatenation_matches_fold():
+    # The parser reduces the letters of all factors once; the fold reduces
+    # at each junction, and either grouping gives the same word.
+    rng = random.Random(101)
+    for _ in range(200):
+        u, v, x = (_random_word(rng) for _ in range(3))
+        ru, rv, rx = (render_word(y) for y in (u, v, x))
+        expected = multiply(multiply(u, v), x)
+        assert multiply(u, multiply(v, x)) == expected
+        assert w(f"({ru}) ({rv}) ({rx})") == expected
+        assert w(f"(({ru}) ({rv})) * ({rx})") == expected
+        assert w(f"({ru}) (({rv}) ({rx}))") == expected
+
+
+def test_parse_power_matches_repeated_product():
+    rng = random.Random(106)
+    for _ in range(200):
+        u = _random_word(rng)
+        n = rng.randrange(-3, 4)
+        expected = empty_word(AB)
+        for _ in range(abs(n)):
+            expected = multiply(expected, u if n > 0 else invert(u))
+        assert w(f"({render_word(u)})^{n}") == expected
 
 
 def test_render_parse_round_trip_random():

@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from oracles import determinant, epi_exists_oracle, free_group, is_surjective_onto
+from oracles import (
+    determinant,
+    epi_exists_oracle,
+    free_group,
+    is_surjective_onto,
+    reference_direct_sum,
+    torsion_chains,
+)
 from aspherical.fpgroup import GroupHom, pinch_presentation_map, surface_group
 from aspherical.word import parse_word
 from aspherical.zlinalg import (
@@ -248,6 +255,15 @@ def test_exists_epimorphism_reflexive_and_transitive():
             for c in pool:
                 if exists_epimorphism(b, c):
                     assert exists_epimorphism(a, c), (a, b, c)
+
+
+def test_free_summand_leaves_invariant_factors():
+    # `fibersum` adds Z^2e to an abelianization by raising its free rank.
+    for torsion in torsion_chains(64):
+        for r in range(3):
+            for k in range(4):
+                g = FgAbelian(r, torsion)
+                assert FgAbelian(r + k, torsion) == reference_direct_sum(g, FgAbelian(k))
 
 
 def test_contains_summand():
