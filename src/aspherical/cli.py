@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 from . import abhomology, asphericity, fibersum, lefschetz, zlinalg
 from .fpgroup import parse_presentation, render_presentation
-from .word import _MAX_FREE_RANK, _MAX_TORSION_BITS, _MAX_TORSION_DIGITS, _MAX_TORSION_ORDERS
+from .word import _MAX_FREE_RANK, _MAX_TORSION_BITS, _MAX_TORSION_DIGITS, _MAX_TORSION_ORDERS, _quote
 from .zlinalg import FgAbelian
 
 if TYPE_CHECKING:
@@ -73,9 +73,9 @@ def parse_group_spec(text: str) -> FgAbelian:
             try:
                 r = int(term[2:])
             except ValueError:
-                raise GroupSpecError(f"bad free part {term!r}") from None
+                raise GroupSpecError(f"bad free part {_quote(term)}") from None
             if r < 0:
-                raise GroupSpecError(f"negative free rank in {term!r}")
+                raise GroupSpecError(f"negative free rank in {_quote(term)}")
             free_rank += r
         elif term.startswith("Z/"):
             if len(term[2:].strip().lstrip("0")) > _MAX_TORSION_DIGITS:  # before int() reads it
@@ -83,9 +83,9 @@ def parse_group_spec(text: str) -> FgAbelian:
             try:
                 d = int(term[2:])
             except ValueError:
-                raise GroupSpecError(f"bad torsion part {term!r}") from None
+                raise GroupSpecError(f"bad torsion part {_quote(term)}") from None
             if d < 1:
-                raise GroupSpecError(f"torsion order must be positive in {term!r}")
+                raise GroupSpecError(f"torsion order must be positive in {_quote(term)}")
             top = math.lcm(top, d)
             if top.bit_length() > _MAX_TORSION_BITS:
                 raise GroupSpecError(too_big)
@@ -95,7 +95,7 @@ def parse_group_spec(text: str) -> FgAbelian:
                     f"distinct torsion orders over the limit of {_MAX_TORSION_ORDERS}"
                 )
         else:
-            raise GroupSpecError(f"cannot parse term {term!r}")
+            raise GroupSpecError(f"cannot parse term {_quote(term)}")
         if free_rank > _MAX_FREE_RANK:
             raise GroupSpecError(f"free rank over the limit of {_MAX_FREE_RANK}")
     return FgAbelian.from_counts(free_rank, counts)

@@ -4,7 +4,8 @@ Covers the constructors the constructions need: surface groups with the
 standard one-relator presentation, free products, quotients by normal
 closures of word sets, presentations of finitely generated abelian
 groups, and the pinch map collapsing the separating circle of a genus
-sum.
+sum.  `_read_word_file` is the one reader of both word file formats:
+presentation files here, and fibration files for `lefschetz`.
 
 Homomorphisms carry one image word per source generator.  Validity is
 certified at the abelianized level only (the image of every source
@@ -15,7 +16,7 @@ presented group is not attempted.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 from . import zlinalg
 from .word import (
@@ -24,6 +25,7 @@ from .word import (
     _Value,
     _free_reduce,
     _inv,
+    _quote,
     _render_letters,
     cyclic_reduce,
     exponent_vector,
@@ -59,7 +61,7 @@ class Presentation(_Value):
     ):
         names = [g.name for g in generators]
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate generator names in {names}")
+            raise ValueError(f"duplicate generator names in {_quote(names)}")
         if label is not None and "\n" in label:
             raise ValueError("label must be a single line")
         for r in relators:
@@ -236,46 +238,52 @@ def render_presentation(p: Presentation) -> str:
 
 
 def parse_presentation(text: str) -> Presentation:
-    """Parse group/gens/rel text; a repeated relator text is parsed once."""
-    label: str | None = None
-    gens: tuple[Generator, ...] | None = None
-    relators: list[Word] = []
-    parsed: dict[str, Word] = {}
-    seen_group = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        key, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if key == "group":
-            if seen_group:
-                raise FormatError(f"line {lineno}: repeated group line")
-            seen_group = True
-            label = rest or None
-        elif key == "gens":
-            if not seen_group:
-                raise FormatError(f"line {lineno}: gens before group")
-            if gens is not None:
-                raise FormatError(f"line {lineno}: repeated gens line")
-            try:
-                gens = tuple(Generator(name) for name in rest.split())
-            except ValueError as e:
-                raise FormatError(f"line {lineno}: {e}") from e
-        elif key == "rel":
-            if gens is None:
-                raise FormatError(f"line {lineno}: rel before gens")
-            if rest not in parsed:
-                try:
-                    parsed[rest] = cyclic_reduce(parse_word(rest, gens))
-                except ValueError as e:
-                    raise FormatError(f"line {lineno}: {e}") from e
-            relators.append(parsed[rest])
-        else:
-            raise FormatError(f"line {lineno}: unknown directive {key!r}")
-    if not seen_group or gens is None:
-        raise FormatError("missing group/gens lines")
+    """Parse group/gens/rel text: generator names, then relator words."""
+    label, gens, relators, _ = _read_word_file(
+        text, "group", "gens", "rel",
+        lambda rest: tuple(Generator(name) for name in rest.split()), lambda rest: (None, rest),
+    )
     try:
         return Presentation(gens, tuple(relators), label=label)
-    except ValueError as e:
+    except ValueError as e:  # duplicate generator names
         raise FormatError(str(e)) from e
+
+
+def _read_word_file(
+    text: str, header: str, space: str, item: str, alphabet_of: Callable, split: Callable
+) -> tuple[str | None, tuple[Generator, ...], list[Word], list]:
+    """The reader of presentation and fibration files: blank lines aside,
+    the `header` line once (its rest is the label), the `space` line once
+    (`alphabet_of` reads its rest), then `item` lines (`split` reads each
+    rest as a tag and a word text; a distinct word text is parsed and
+    cyclically reduced once).  Returns the label, alphabet, words and tags;
+    a ValueError on a line becomes a FormatError naming the line."""
+    label, alphabet, seen_header = None, None, False
+    words, tags, parsed = [], [], {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        key, _, rest = raw.strip().partition(" ")
+        rest = rest.strip()
+        try:
+            if key == item and alphabet is not None:
+                tag, word_text = split(rest)
+                if word_text not in parsed:
+                    parsed[word_text] = cyclic_reduce(parse_word(word_text, alphabet))
+                words.append(parsed[word_text])
+                tags.append(tag)
+            elif key == header and not seen_header:
+                seen_header, label = True, rest or None
+            elif key == space and seen_header and alphabet is None:
+                alphabet = alphabet_of(rest)
+            elif key == item:
+                raise ValueError(f"{item} before {space}")
+            elif key == space and not seen_header:
+                raise ValueError(f"{space} before {header}")
+            elif key in (header, space):
+                raise ValueError(f"repeated {key} line")
+            elif key:
+                raise ValueError(f"unknown directive {_quote(key)}")
+        except ValueError as e:
+            raise FormatError(f"line {lineno}: {e}") from e
+    if not seen_header or alphabet is None:
+        raise FormatError(f"missing {header}/{space} lines")
+    return label, alphabet, words, tags

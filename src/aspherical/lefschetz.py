@@ -6,27 +6,29 @@ the standard symplectic basis a_1, b_1, ..., a_g, b_g.  The homological
 monodromy of a Dehn twist is the transvection x -> x + sign * <x, c> * c.
 Only this homological shadow is computed; whether a twist product is
 isotopic to the identity is checked at the homology level alone, and
-every report derived from it says so.
+every report derived from it says so.  Fibration files are read by
+`fpgroup._read_word_file`, the reader of presentation files.
 """
 
 from __future__ import annotations
 
 from .fpgroup import (
-    FormatError,
     InvalidGenus,
     Presentation,
+    _read_word_file,
     quotient_by_normal_closure,
     surface_generators,
     surface_relator,
 )
 from .word import (
     _MAX_FIBER_GENUS,
+    _MAX_TWIST_BIT_WORK,
     _MAX_TWIST_WORK,
+    Generator,
     Word,
     _Value,
-    cyclic_reduce,
+    _quote,
     exponent_vector,
-    parse_word,
 )
 from .zlinalg import DimensionMismatch, IntMatrix
 
@@ -86,26 +88,34 @@ def monodromy_product(m: MonodromyFactorization) -> IntMatrix:
     A twist matrix is the identity plus the rank-one sign * c (Jc)^T, so
     it multiplies the product P as P + sign * c ((Jc)^T P): O(n^2) work
     per twist, and O(n) per nonzero entry of c and Jc (one row update
-    each) for the few-term classes of vanishing cycles.  Those row
-    updates, 2 * nnz(c) * n entries a twist, are summed before any is
-    made, and more than _MAX_TWIST_WORK in all are rejected.
+    each) for the few-term classes of vanishing cycles.  A twist by c
+    multiplies P's largest entry by at most 1 + |c|_max |c|_1, so adds at
+    most (|c|_max |c|_1).bit_length() bits to it.  Before the first twist,
+    the row updates, 2 * nnz(c) * n a twist, are summed, and so are they
+    times the entry-bit bound after each twist; a sum over _MAX_TWIST_WORK
+    or _MAX_TWIST_BIT_WORK is rejected.
     """
     n = 2 * m.fiber_genus
-    # class, pairing row and row work by cycle object: repeated cycles are shared
-    by_cycle: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
-    work = 0
+    # by cycle object (repeated cycles are shared): class, pairing row, updates, bit growth
+    by_cycle: dict[int, tuple[tuple[int, ...], tuple[int, ...], int, int]] = {}
+    work, bit_work, bits = 0, 0, 1  # bits: a bound on the product's entry bits
     for cycle in m.cycles:
         if id(cycle) not in by_cycle:
             c = exponent_vector(cycle)
-            by_cycle[id(cycle)] = c, _pairing_row(c), 2 * (n - c.count(0)) * n
-        work += by_cycle[id(cycle)][2]
-    if work > _MAX_TWIST_WORK:
-        raise ValueError(
-            f"the twists take {work} row-entry updates, over the limit of {_MAX_TWIST_WORK}"
-        )
+            growth = max(map(abs, c), default=0) * sum(map(abs, c))
+            by_cycle[id(cycle)] = c, _pairing_row(c), 2 * (n - c.count(0)) * n, growth.bit_length()
+        _, _, updates, growth = by_cycle[id(cycle)]
+        work, bits = work + updates, bits + growth
+        bit_work += updates * bits
+    for total, limit, what in (
+        (work, _MAX_TWIST_WORK, "row-entry updates"),
+        (bit_work, _MAX_TWIST_BIT_WORK, "row-entry updates times entry bits"),
+    ):
+        if total > limit:
+            raise ValueError(f"the twists take {total} {what}, over the limit of {limit}")
     product = IntMatrix.identity(n).to_rows()
     for cycle, sign in zip(m.cycles, m.signs):
-        c, jc, _ = by_cycle[id(cycle)]
+        c, jc, _, _ = by_cycle[id(cycle)]
         pairing = [0] * n
         for k, x in enumerate(jc):
             if x:
@@ -149,57 +159,29 @@ def euler_characteristic(m: MonodromyFactorization) -> int:
 
 
 def parse_factorization(text: str) -> tuple[MonodromyFactorization, str | None]:
-    """Parse the fibration/fiber_genus/cycle file format; returns the
-    factorization and the label.  A repeated cycle text is parsed once."""
-    label: str | None = None
-    genus: int | None = None
-    cycles: list[Word] = []
-    parsed: dict[str, Word] = {}
-    signs: list[int] = []
-    fiber = None
-    seen_fibration = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        key, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if key == "fibration":
-            if seen_fibration:
-                raise FormatError(f"line {lineno}: repeated fibration line")
-            seen_fibration = True
-            label = rest or None
-        elif key == "fiber_genus":
-            if genus is not None:
-                raise FormatError(f"line {lineno}: repeated fiber_genus line")
-            try:
-                genus = int(rest)
-            except ValueError:
-                raise FormatError(f"line {lineno}: bad genus {rest!r}") from None
-            if genus < 0:
-                raise FormatError(f"line {lineno}: negative genus")
-            if genus > _MAX_FIBER_GENUS:
-                raise FormatError(
-                    f"line {lineno}: fiber_genus {genus} exceeds the limit of {_MAX_FIBER_GENUS}"
-                )
-            fiber = surface_generators(genus)
-        elif key == "cycle":
-            if fiber is None:
-                raise FormatError(f"line {lineno}: cycle before fiber_genus")
-            sign_tok, _, word_text = rest.partition(" ")
-            if sign_tok not in ("+", "-"):
-                raise FormatError(f"line {lineno}: expected + or -, found {sign_tok!r}")
-            word_text = word_text.strip()
-            if word_text not in parsed:
-                try:
-                    w = parse_word(word_text, fiber)
-                except ValueError as e:
-                    raise FormatError(f"line {lineno}: {e}") from e
-                parsed[word_text] = cyclic_reduce(w)
-            cycles.append(parsed[word_text])
-            signs.append(1 if sign_tok == "+" else -1)
-        else:
-            raise FormatError(f"line {lineno}: unknown directive {key!r}")
-    if not seen_fibration or genus is None:
-        raise FormatError("missing fibration/fiber_genus lines")
-    return MonodromyFactorization(genus, tuple(cycles), tuple(signs)), label
+    """Parse fibration/fiber_genus/cycle text into a factorization and label."""
+    label, fiber, cycles, signs = _read_word_file(
+        text, "fibration", "fiber_genus", "cycle", _fiber_generators, _signed
+    )
+    return MonodromyFactorization(len(fiber) // 2, tuple(cycles), tuple(signs)), label
+
+
+def _fiber_generators(text: str) -> tuple[Generator, ...]:
+    """The surface generators of the genus a fiber_genus line gives."""
+    try:
+        genus = int(text)
+    except ValueError:
+        raise ValueError(f"bad genus {_quote(text)}") from None
+    if genus < 0:
+        raise ValueError("negative genus")
+    if genus > _MAX_FIBER_GENUS:
+        raise ValueError(f"fiber_genus {_quote(genus)} exceeds the limit of {_MAX_FIBER_GENUS}")
+    return surface_generators(genus)
+
+
+def _signed(text: str) -> tuple[int, str]:
+    """A cycle line's twist sign, + or -, and the word text after it."""
+    sign, _, word_text = text.partition(" ")
+    if sign not in ("+", "-"):
+        raise ValueError(f"expected + or -, found {_quote(sign)}")
+    return 1 if sign == "+" else -1, word_text.strip()

@@ -71,7 +71,7 @@ class WordSyntaxError(ValueError):
 
 class UnknownGenerator(ValueError):
     def __init__(self, name: str):
-        super().__init__(f"unknown generator {name!r}")
+        super().__init__(f"unknown generator {_quote(name)}")
         self.name = name
 
 
@@ -82,7 +82,7 @@ class Generator(_Value):
 
     def __init__(self, name: str):
         if not _IDENT_RE.match(name):
-            raise ValueError(f"invalid generator name {name!r}")
+            raise ValueError(f"invalid generator name {_quote(name)}")
         object.__setattr__(self, "name", name)
 
 
@@ -215,7 +215,9 @@ _MAX_PARSED_LETTERS = 1 << 18
 # commutators on a genus-f fiber, so e f is capped as well as e.  A
 # fibration file's fiber_genus g makes the monodromy 2g x 2g matrices,
 # and a twist by the class c updates 2 nnz(c) rows of them: the updated
-# entries are capped in sum over the twists (8 dense twists at genus 512).
+# entries are capped in sum over the twists (8 dense twists at genus 512),
+# and so is each twist's count times a bound on the entries' bits after it
+# (92,680 alternating twists by a1 and b1 at genus 1 take about 1.8 s).
 # Homology of (Z/2)^18 through degree 8 would print 1,188,678 torsion
 # summands, about 7 MB; (Z/2)^16, with 548,590, stays accepted.
 _MAX_WITNESS_GENERATORS = 256
@@ -223,6 +225,7 @@ _MAX_BASE_GENUS = 1024
 _MAX_GENUS_PRODUCT = 1 << 14
 _MAX_FIBER_GENUS = 512
 _MAX_TWIST_WORK = 1 << 24
+_MAX_TWIST_BIT_WORK = 1 << 34
 _MAX_HOMOLOGY_SUMMANDS = 1 << 20
 # A group spec's largest invariant factor, the lcm of its torsion orders, may
 # take 4300 log2(10) bits, so that every factor prints within Python's
@@ -234,6 +237,12 @@ _MAX_TORSION_DIGITS = 4300
 # about 1,200 gcds under the lcm cap, so their number is capped too.
 _MAX_FREE_RANK = 1 << 20
 _MAX_TORSION_ORDERS = 4096
+
+
+def _quote(value: object) -> str:
+    """`value!r` for an error message, cut after 64 characters, length noted."""
+    text = repr(value)
+    return text if len(text) <= 64 else f"{text[:64]}... ({len(text)} characters)"
 
 
 class _Parser:
@@ -249,7 +258,7 @@ class _Parser:
     def take(self, kind: str) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         if tok[0] != kind:
-            raise WordSyntaxError(tok[2], f"expected {kind}, found {tok[1] or 'end of input'!r}")
+            raise WordSyntaxError(tok[2], f"expected {kind}, found {_quote(tok[1] or 'end of input')}")
         self.pos += 1
         return tok
 
@@ -271,7 +280,7 @@ class _Parser:
             elif kind in closers:
                 return letters
             else:
-                raise WordSyntaxError(at, f"unexpected {value!r}")
+                raise WordSyntaxError(at, f"unexpected {_quote(value)}")
 
     def parse_factor(self) -> list[tuple[int, int]]:
         kind, value, at = self.peek()
@@ -295,7 +304,7 @@ class _Parser:
             base = self.parse_word(closers=(")",))
             self.take(")")
         else:
-            raise WordSyntaxError(at, f"expected a factor, found {value or 'end of input'!r}")
+            raise WordSyntaxError(at, f"expected a factor, found {_quote(value or 'end of input')}")
         if self.peek()[0] == "^":
             self.pos += 1
             exponent = self.parse_exponent()

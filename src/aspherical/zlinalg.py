@@ -26,7 +26,7 @@ import math
 from collections import Counter
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .word import _Value, exponent_vector
+from .word import _Value, _quote, exponent_vector
 
 if TYPE_CHECKING:
     from .fpgroup import GroupHom, Presentation
@@ -112,7 +112,7 @@ def parse_matrix(text: str) -> IntMatrix:
         try:
             rows.append([int(tok) for tok in line.split()])
         except ValueError:
-            raise ValueError(f"bad matrix row {line!r}") from None
+            raise ValueError(f"bad matrix row {_quote(line)}") from None
     return IntMatrix.from_rows(rows)
 
 

@@ -42,8 +42,13 @@ here in two stages, as `fibersum` once did: its fibered presentation
 over the fiber alphabet, then the fiber sum of that with a genus-1
 trivial bundle, which re-binds every relator to the larger alphabet.
 
-Last, the CLI's argparse grammar spelled out one subcommand at a time
-is the reference for the parser `cli` builds from its command table.
+The CLI's argparse grammar spelled out one subcommand at a time is the
+reference for the parser `cli` builds from its command table.
+
+Last, the two hand-written line loops that read presentation files
+(group/gens/rel) and fibration files (fibration/fiber_genus/cycle) are
+the references for the one reader, `fpgroup._read_word_file`, that
+replaced them.
 """
 
 from __future__ import annotations
@@ -58,8 +63,16 @@ from aspherical.fibersum import (
     SurfaceFiberedPresentation,
     fiber_sum_with_trivial_bundle,
 )
-from aspherical.fpgroup import GroupHom, Presentation, surface_group, surface_relator
-from aspherical.word import Generator, Word
+from aspherical.fpgroup import (
+    FormatError,
+    GroupHom,
+    Presentation,
+    surface_generators,
+    surface_group,
+    surface_relator,
+)
+from aspherical.lefschetz import MonodromyFactorization
+from aspherical.word import _MAX_FIBER_GENUS, Generator, Word, cyclic_reduce, parse_word
 from aspherical.zlinalg import (
     DimensionMismatch,
     FgAbelian,
@@ -922,3 +935,111 @@ def reference_parser():
     p.set_defaults(func=cli.cmd_fibersum)
 
     return parser
+
+
+# --- reference file readers --------------------------------------------------
+# The two line loops that `fpgroup._read_word_file` replaced, each copied as
+# it was, for tests/format_differential.py.
+
+
+def reference_parse_presentation(text: str) -> Presentation:
+    """Parse group/gens/rel text; a repeated relator text is parsed once."""
+    label: str | None = None
+    gens: tuple[Generator, ...] | None = None
+    relators: list[Word] = []
+    parsed: dict[str, Word] = {}
+    seen_group = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        key, _, rest = line.partition(" ")
+        rest = rest.strip()
+        if key == "group":
+            if seen_group:
+                raise FormatError(f"line {lineno}: repeated group line")
+            seen_group = True
+            label = rest or None
+        elif key == "gens":
+            if not seen_group:
+                raise FormatError(f"line {lineno}: gens before group")
+            if gens is not None:
+                raise FormatError(f"line {lineno}: repeated gens line")
+            try:
+                gens = tuple(Generator(name) for name in rest.split())
+            except ValueError as e:
+                raise FormatError(f"line {lineno}: {e}") from e
+        elif key == "rel":
+            if gens is None:
+                raise FormatError(f"line {lineno}: rel before gens")
+            if rest not in parsed:
+                try:
+                    parsed[rest] = cyclic_reduce(parse_word(rest, gens))
+                except ValueError as e:
+                    raise FormatError(f"line {lineno}: {e}") from e
+            relators.append(parsed[rest])
+        else:
+            raise FormatError(f"line {lineno}: unknown directive {key!r}")
+    if not seen_group or gens is None:
+        raise FormatError("missing group/gens lines")
+    try:
+        return Presentation(gens, tuple(relators), label=label)
+    except ValueError as e:
+        raise FormatError(str(e)) from e
+
+
+def reference_parse_factorization(text: str) -> tuple[MonodromyFactorization, str | None]:
+    """Parse the fibration/fiber_genus/cycle file format; returns the
+    factorization and the label.  A repeated cycle text is parsed once."""
+    label: str | None = None
+    genus: int | None = None
+    cycles: list[Word] = []
+    parsed: dict[str, Word] = {}
+    signs: list[int] = []
+    fiber = None
+    seen_fibration = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        key, _, rest = line.partition(" ")
+        rest = rest.strip()
+        if key == "fibration":
+            if seen_fibration:
+                raise FormatError(f"line {lineno}: repeated fibration line")
+            seen_fibration = True
+            label = rest or None
+        elif key == "fiber_genus":
+            if genus is not None:
+                raise FormatError(f"line {lineno}: repeated fiber_genus line")
+            try:
+                genus = int(rest)
+            except ValueError:
+                raise FormatError(f"line {lineno}: bad genus {rest!r}") from None
+            if genus < 0:
+                raise FormatError(f"line {lineno}: negative genus")
+            if genus > _MAX_FIBER_GENUS:
+                raise FormatError(
+                    f"line {lineno}: fiber_genus {genus} exceeds the limit of {_MAX_FIBER_GENUS}"
+                )
+            fiber = surface_generators(genus)
+        elif key == "cycle":
+            if fiber is None:
+                raise FormatError(f"line {lineno}: cycle before fiber_genus")
+            sign_tok, _, word_text = rest.partition(" ")
+            if sign_tok not in ("+", "-"):
+                raise FormatError(f"line {lineno}: expected + or -, found {sign_tok!r}")
+            word_text = word_text.strip()
+            if word_text not in parsed:
+                try:
+                    w = parse_word(word_text, fiber)
+                except ValueError as e:
+                    raise FormatError(f"line {lineno}: {e}") from e
+                parsed[word_text] = cyclic_reduce(w)
+            cycles.append(parsed[word_text])
+            signs.append(1 if sign_tok == "+" else -1)
+        else:
+            raise FormatError(f"line {lineno}: unknown directive {key!r}")
+    if not seen_fibration or genus is None:
+        raise FormatError("missing fibration/fiber_genus lines")
+    return MonodromyFactorization(genus, tuple(cycles), tuple(signs)), label

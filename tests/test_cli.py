@@ -30,6 +30,7 @@ from aspherical.word import (
     _MAX_TORSION_BITS,
     _MAX_TORSION_DIGITS,
     _MAX_TORSION_ORDERS,
+    _MAX_TWIST_BIT_WORK,
     _MAX_TWIST_WORK,
     _MAX_WITNESS_GENERATORS,
     exponent_vector,
@@ -388,6 +389,53 @@ def test_chain_relation_twist_work_is_far_under_the_limit(g):
     n = 2 * g
     work = sum(2 * (n - exponent_vector(c).count(0)) * n for c in m.cycles)
     assert work < _MAX_TWIST_WORK // 1000
+
+
+def _alternating(n):
+    """A genus-1 fibration file of n twists, + a1 and - b1 in turn.  Each
+    adds at most one bit to the monodromy entries (|c|_max |c|_1 = 1) and
+    updates 2 rows of 2 entries, so the bit work is 4 (2 + 3 + ... + (n + 1))."""
+    lines = ("cycle + a1\n", "cycle - b1\n")
+    return "fibration alt\nfiber_genus 1\n" + "".join(lines[i % 2] for i in range(n))
+
+
+def test_fibration_over_the_twist_bit_limit_exits_2_before_any_twist(
+    capsys, tmp_path, monkeypatch
+):
+    # Entries that grow a constant number of bits a twist cost a twist
+    # time linear in their bits; 92,680 such twists take about 1.8 s.
+    def bit_work(n):
+        return 4 * (n * (n + 3) // 2)
+
+    assert bit_work(92680) <= _MAX_TWIST_BIT_WORK < bit_work(92681)
+    fibration = tmp_path / "alt.txt"
+    monkeypatch.setattr(IntMatrix, "identity", staticmethod(_no_twist_loop))
+    for n in (92681, 200_000):
+        fibration.write_text(_alternating(n))
+        code, out, err = run(capsys, "fibration", str(fibration))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: the twists take {bit_work(n)} row-entry updates times entry bits, "
+            f"over the limit of {_MAX_TWIST_BIT_WORK}\n"
+        )
+    fibration.write_text(_alternating(92680))
+    with pytest.raises(AssertionError, match="twist loop"):
+        run(capsys, "fibration", str(fibration))
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_chain_relation_fibrations_stay_far_under_the_twist_bit_limit(g, capsys, tmp_path):
+    fibration = tmp_path / "chain.txt"
+    fibration.write_text(chain_relation(g))
+    code, out, err = run(capsys, "fibration", str(fibration))
+    assert (code, err) == (0, "")
+    assert "homology_trivial: true" in out
+    m, _ = lefschetz.parse_factorization(chain_relation(g))
+    n, bits, work = 2 * g, 1, 0
+    for c in map(exponent_vector, m.cycles):
+        bits += (max(map(abs, c)) * sum(map(abs, c))).bit_length()
+        work += 2 * (n - c.count(0)) * n * bits
+    assert work < _MAX_TWIST_BIT_WORK // 1000
 
 
 def _surface_file(g, extra_relators=()):

@@ -338,25 +338,29 @@ def test_presentation_file_no_label_and_trivial():
     assert parse_presentation(text) == p
 
 
+# Every FormatError of a presentation file, with its exact message.
+_PRESENTATION_ERRORS = {
+    "gens a b\n": "line 1: gens before group",
+    "group x\nrel a\n": "line 2: rel before gens",
+    "group x\ngens a1\nrel zz\n": "line 3: unknown generator 'zz'",
+    "group x\ngens a1\nrel a1 (\n": (
+        "line 3: at position 4: expected a factor, found 'end of input'"
+    ),
+    "group x\ngens a1\nnonsense\n": "line 3: unknown directive 'nonsense'",
+    "group x\ngens a1 a1\n": "duplicate generator names in ['a1', 'a1']",
+    "group x\ngroup y\ngens a1\n": "line 2: repeated group line",
+    "group x\ngens a1\ngens b1\n": "line 3: repeated gens line",
+    "group x\ngens a1 1bad\n": "line 2: invalid generator name '1bad'",
+    "group x\n\n  \n": "missing group/gens lines",
+    "": "missing group/gens lines",
+}
+
+
 def test_presentation_file_errors():
-    with pytest.raises(FormatError):
-        parse_presentation("gens a b\n")
-    with pytest.raises(FormatError):
-        parse_presentation("group x\nrel a\n")
-    with pytest.raises(FormatError):
-        parse_presentation("group x\ngens a1\nrel zz\n")
-    with pytest.raises(FormatError):
-        parse_presentation("group x\ngens a1\nnonsense\n")
-    with pytest.raises(FormatError):
-        parse_presentation("group x\ngens a1 a1\n")
-    with pytest.raises(FormatError):
-        parse_presentation("group x\ngroup y\ngens a1\n")
-    with pytest.raises(FormatError):
-        parse_presentation("group x\ngens a1\ngens b1\n")
-    with pytest.raises(FormatError):
-        parse_presentation("group x\ngens a1 1bad\n")
-    with pytest.raises(FormatError):
-        parse_presentation("")
+    for text, message in _PRESENTATION_ERRORS.items():
+        with pytest.raises(FormatError) as exc:
+            parse_presentation(text)
+        assert str(exc.value) == message, text
 
 
 def test_presentation_file_tolerates_blank_lines():

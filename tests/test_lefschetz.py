@@ -274,22 +274,32 @@ def test_parse_factorization_negative_sign():
     assert m.cycles[0] == parse_word("a1 b2^-1", surface_group(2).generators)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "fiber_genus 1\n",
-        "fibration x\n",
-        "fibration x\nfiber_genus -1\n",
-        "fibration x\nfiber_genus q\n",
-        "fibration x\nfiber_genus 1\ncycle * a1\n",
-        "fibration x\nfiber_genus 1\ncycle + zz\n",
-        "fibration x\ncycle + a1\nfiber_genus 1\n",
-        "fibration x\nfiber_genus 1\nnonsense\n",
-    ],
-)
+# Every FormatError of a fibration file, with its exact message.
+_FACTORIZATION_ERRORS = {
+    "fiber_genus 1\n": "line 1: fiber_genus before fibration",
+    "fibration x\n": "missing fibration/fiber_genus lines",
+    "fibration x\nfiber_genus -1\n": "line 2: negative genus",
+    "fibration x\nfiber_genus q\n": "line 2: bad genus 'q'",
+    "fibration x\nfiber_genus 1\ncycle * a1\n": "line 3: expected + or -, found '*'",
+    "fibration x\nfiber_genus 1\ncycle + zz\n": "line 3: unknown generator 'zz'",
+    "fibration x\ncycle + a1\nfiber_genus 1\n": "line 2: cycle before fiber_genus",
+    "fibration x\nfiber_genus 1\nnonsense\n": "line 3: unknown directive 'nonsense'",
+    "fibration x\nfibration y\nfiber_genus 1\n": "line 2: repeated fibration line",
+    "fibration x\nfiber_genus 1\nfiber_genus 1\n": "line 3: repeated fiber_genus line",
+    "fibration x\nfiber_genus 513\n": "line 2: fiber_genus 513 exceeds the limit of 512",
+    "fibration x\nfiber_genus 1\ncycle +\ta1\n": "line 3: expected + or -, found '+\\ta1'",
+    "fibration x\nfiber_genus 1\ncycle + a1^\n": (
+        "line 3: at position 3: expected number, found 'end of input'"
+    ),
+    "\n\tfiber_genus 1\nfibration x\n": "line 2: fiber_genus before fibration",
+}
+
+
+@pytest.mark.parametrize("text", list(_FACTORIZATION_ERRORS))
 def test_parse_factorization_errors(text):
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as exc:
         parse_factorization(text)
+    assert str(exc.value) == _FACTORIZATION_ERRORS[text]
 
 
 def test_fibration_builds_no_throwaway_presentation_and_pairs_each_cycle_once(
