@@ -31,7 +31,7 @@ import math
 from collections import Counter
 from itertools import accumulate, chain, repeat
 
-from .word import _MAX_HOMOLOGY_SUMMANDS
+from .limits import _MAX_HOMOLOGY_SUMMANDS
 from .zlinalg import FgAbelian
 
 DEFAULT_DEGREE_CAP = 8

@@ -28,7 +28,8 @@ from typing import TYPE_CHECKING
 
 from . import abhomology, asphericity, fibersum, lefschetz, zlinalg
 from .fpgroup import parse_presentation, render_presentation
-from .word import _MAX_FREE_RANK, _MAX_TORSION_BITS, _MAX_TORSION_DIGITS, _MAX_TORSION_ORDERS, _quote
+from .limits import _MAX_FREE_RANK, _MAX_TORSION_BITS, _MAX_TORSION_DIGITS, _MAX_TORSION_ORDERS
+from .word import _quote
 from .zlinalg import FgAbelian
 
 if TYPE_CHECKING:
@@ -141,7 +142,7 @@ def cmd_classify(args: Args) -> int:
     citations = list(_CITATIONS[verdict.reason])
     if verdict.pi2_forced_nonzero_in_dim4:
         citations.append("Proposition 5.3")
-    if gamma == asphericity.Z4_PLUS_Z2:
+    if verdict.class_note == asphericity.CLASS_NOTE_Z4_Z2:
         citations.append("Corollary 5.5")
     note = asphericity.covering_note(gamma)
     if note is not None:

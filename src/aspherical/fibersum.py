@@ -20,15 +20,8 @@ from .fpgroup import (
     surface_generators,
     surface_relator,
 )
-from .word import (
-    _MAX_BASE_GENUS,
-    _MAX_GENUS_PRODUCT,
-    _MAX_PARSED_LETTERS,
-    _MAX_WITNESS_GENERATORS,
-    Generator,
-    Word,
-    _Value,
-)
+from .limits import _MAX_BASE_GENUS, _MAX_GENUS_PRODUCT, _MAX_PARSED_LETTERS, _MAX_WITNESS_GENERATORS
+from .word import Generator, Word, _Value
 from .zlinalg import FgAbelian
 
 

@@ -20,16 +20,8 @@ from .fpgroup import (
     surface_generators,
     surface_relator,
 )
-from .word import (
-    _MAX_FIBER_GENUS,
-    _MAX_TWIST_BIT_WORK,
-    _MAX_TWIST_WORK,
-    Generator,
-    Word,
-    _Value,
-    _quote,
-    exponent_vector,
-)
+from .limits import _MAX_FIBER_GENUS, _MAX_TWIST_WORK
+from .word import Generator, Word, _Value, _quote, exponent_vector
 from .zlinalg import DimensionMismatch, IntMatrix
 
 
@@ -88,42 +80,53 @@ def monodromy_product(m: MonodromyFactorization) -> IntMatrix:
     A twist matrix is the identity plus the rank-one sign * c (Jc)^T, so
     it multiplies the product P as P + sign * c ((Jc)^T P): O(n^2) work
     per twist, and O(n) per nonzero entry of c and Jc (one row update
-    each) for the few-term classes of vanishing cycles.  A twist by c
-    multiplies P's largest entry by at most 1 + |c|_max |c|_1, so adds at
-    most (|c|_max |c|_1).bit_length() bits to it.  Before the first twist,
-    the row updates, 2 * nnz(c) * n a twist, are summed, and so are they
-    times the entry-bit bound after each twist; a sum over _MAX_TWIST_WORK
-    or _MAX_TWIST_BIT_WORK is rejected.
+    each) for the few-term classes of vanishing cycles.  Before the first
+    twist, the row-entry updates, 2 * nnz(c) * n a twist, are summed
+    against _MAX_TWIST_WORK.  As the twists run, each is charged its
+    updates times 1 + bits // 1024 against the same limit, where bits
+    bounds P's entry bit length: a twist by c multiplies P's largest entry
+    by at most 1 + |c|_max |c|_1, so adds at most
+    (|c|_max |c|_1).bit_length() bits, and once the bound reaches 1024,
+    every 1024th twist resets it to the bits P has, a scan charged n^2.
     """
     n = 2 * m.fiber_genus
-    # by cycle object (repeated cycles are shared): class, pairing row, updates, bit growth
-    by_cycle: dict[int, tuple[tuple[int, ...], tuple[int, ...], int, int]] = {}
-    work, bit_work, bits = 0, 0, 1  # bits: a bound on the product's entry bits
+    # by cycle object (repeated cycles are shared): the nonzero (index, entry)
+    # pairs of c and of Jc, a twist's row-entry updates and its bit growth
+    by_cycle: dict[int, tuple[list[tuple[int, int]], list[tuple[int, int]], int, int]] = {}
+    work = 0
     for cycle in m.cycles:
         if id(cycle) not in by_cycle:
             c = exponent_vector(cycle)
             growth = max(map(abs, c), default=0) * sum(map(abs, c))
-            by_cycle[id(cycle)] = c, _pairing_row(c), 2 * (n - c.count(0)) * n, growth.bit_length()
-        _, _, updates, growth = by_cycle[id(cycle)]
-        work, bits = work + updates, bits + growth
-        bit_work += updates * bits
-    for total, limit, what in (
-        (work, _MAX_TWIST_WORK, "row-entry updates"),
-        (bit_work, _MAX_TWIST_BIT_WORK, "row-entry updates times entry bits"),
-    ):
-        if total > limit:
-            raise ValueError(f"the twists take {total} {what}, over the limit of {limit}")
+            nonzero = [(i, x) for i, x in enumerate(c) if x]
+            jc = [(k, x) for k, x in enumerate(_pairing_row(c)) if x]
+            by_cycle[id(cycle)] = nonzero, jc, 2 * len(nonzero) * n, growth.bit_length()
+        work += by_cycle[id(cycle)][2]
+    if work > _MAX_TWIST_WORK:
+        raise ValueError(f"the twists take {work} row-entry updates, over the limit of {_MAX_TWIST_WORK}")
     product = IntMatrix.identity(n).to_rows()
-    for cycle, sign in zip(m.cycles, m.signs):
-        c, jc, _, _ = by_cycle[id(cycle)]
+    work, bits = 0, 1
+    for t, (cycle, sign) in enumerate(zip(m.cycles, m.signs), 1):
+        c, jc, updates, growth = by_cycle[id(cycle)]
+        # below 1024 bits a twist weighs 1; only nonzero classes (n > 0) add bits
+        if t % 1024 == 0 and bits >= 1024:
+            bits = max(max(map(int.bit_length, row)) for row in product)
+            work += n * n
+        bits += growth
+        work += updates * (1 + bits // 1024)
+        if work > _MAX_TWIST_WORK:
+            raise ValueError(
+                f"the twists through cycle {t} take {work} row-entry updates weighed by "
+                f"entry bits, over the limit of {_MAX_TWIST_WORK}"
+            )
+        if not c:  # a null-homologous cycle: its twist is the identity
+            continue
         pairing = [0] * n
-        for k, x in enumerate(jc):
-            if x:
-                pairing = [p + x * v for p, v in zip(pairing, product[k])]
-        for i, ci in enumerate(c):
-            if ci:
-                scale = sign * ci
-                product[i] = [v + scale * p for v, p in zip(product[i], pairing)]
+        for k, x in jc:
+            pairing = [p + x * v for p, v in zip(pairing, product[k])]
+        for i, ci in c:
+            scale = sign * ci
+            product[i] = [v + scale * p for v, p in zip(product[i], pairing)]
     return IntMatrix.from_rows(product, cols=n)
 
 
@@ -133,17 +136,17 @@ def homology_trivial(m: MonodromyFactorization) -> bool:
     return monodromy_product(m) == IntMatrix.identity(2 * m.fiber_genus)
 
 
-def total_space_pi1(m: MonodromyFactorization, trivial: bool | None = None) -> Presentation:
+def total_space_pi1(m: MonodromyFactorization, trivial: bool) -> Presentation:
     """Fundamental group of the total space: the fiber surface group modulo
     the normal closure of the vanishing cycles.
 
     Valid when the twist product is trivial in the pointed mapping class
     group; computed unconditionally, with a caveat in the label whenever
-    even the homological check fails.  `trivial` is that check's result
-    when the caller already has it (`homology_trivial(m)`).
+    even the homological check fails.  `trivial` is that check's result,
+    `homology_trivial(m)`.
     """
     label = "total space pi1"
-    if not (homology_trivial(m) if trivial is None else trivial):
+    if not trivial:
         label += " [caveat: monodromy product is not homologically trivial]"
     fiber = m.cycles[0].alphabet if m.cycles else surface_generators(m.fiber_genus)
     surface = Presentation(fiber, (surface_relator(fiber),) if fiber else (), label=label)

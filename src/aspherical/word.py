@@ -29,6 +29,8 @@ import re
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
+from .limits import _MAX_PARSED_LETTERS
+
 _IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 
@@ -199,44 +201,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
-
-
-# Hard ceiling on letters a single parse may materialize: powers and
-# nested commutators multiply lengths, and an unbounded expansion turns a
-# short input into a denial of service.  Far above any realistic relator.
-_MAX_PARSED_LETTERS = 1 << 18
-
-# Ceilings on the constructions a short input can blow up, each set so
-# that the largest input accepted runs in about 2 s at most in-process.
-# A witness's fiber genus is linear, and its commutator count quadratic,
-# in its generator count (free rank plus torsion factors); its torsion
-# relators t^d take _MAX_PARSED_LETTERS letters at most in all, so each
-# one still parses.  A fiber sum of base genus e adds 4 e f mixed
-# commutators on a genus-f fiber, so e f is capped as well as e.  A
-# fibration file's fiber_genus g makes the monodromy 2g x 2g matrices,
-# and a twist by the class c updates 2 nnz(c) rows of them: the updated
-# entries are capped in sum over the twists (8 dense twists at genus 512),
-# and so is each twist's count times a bound on the entries' bits after it
-# (92,680 alternating twists by a1 and b1 at genus 1 take about 1.8 s).
-# Homology of (Z/2)^18 through degree 8 would print 1,188,678 torsion
-# summands, about 7 MB; (Z/2)^16, with 548,590, stays accepted.
-_MAX_WITNESS_GENERATORS = 256
-_MAX_BASE_GENUS = 1024
-_MAX_GENUS_PRODUCT = 1 << 14
-_MAX_FIBER_GENUS = 512
-_MAX_TWIST_WORK = 1 << 24
-_MAX_TWIST_BIT_WORK = 1 << 34
-_MAX_HOMOLOGY_SUMMANDS = 1 << 20
-# A group spec's largest invariant factor, the lcm of its torsion orders, may
-# take 4300 log2(10) bits, so that every factor prints within Python's
-# 4300-digit int-to-str limit.  A term of more digits is refused unparsed.
-_MAX_TORSION_BITS = 14284
-_MAX_TORSION_DIGITS = 4300
-# `classify Z^r` lists r/2 realizable dimensions, so the free rank is capped;
-# the coprime base of the distinct torsion orders costs each order up to
-# about 1,200 gcds under the lcm cap, so their number is capped too.
-_MAX_FREE_RANK = 1 << 20
-_MAX_TORSION_ORDERS = 4096
 
 
 def _quote(value: object) -> str:

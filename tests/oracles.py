@@ -72,7 +72,8 @@ from aspherical.fpgroup import (
     surface_relator,
 )
 from aspherical.lefschetz import MonodromyFactorization
-from aspherical.word import _MAX_FIBER_GENUS, Generator, Word, cyclic_reduce, parse_word
+from aspherical.limits import _MAX_FIBER_GENUS
+from aspherical.word import Generator, Word, cyclic_reduce, parse_word
 from aspherical.zlinalg import (
     DimensionMismatch,
     FgAbelian,

@@ -177,10 +177,10 @@ def test_criterion_7_lefschetz_quotients_and_twists():
             tuple(parse_word(t, pi2.generators) for t in ("a1", "b1", "a2", "b2")),
             (1, 1, 1, 1),
         )
-        assert abelianization(total_space_pi1(kill_all)) == FgAbelian(0)
+        assert abelianization(total_space_pi1(kill_all, homology_trivial(kill_all))) == FgAbelian(0)
         for h in (1, 2, 3):
             empty = MonodromyFactorization(h, (), ())
-            assert abelianization(total_space_pi1(empty)) == FgAbelian(2 * h)
+            assert abelianization(total_space_pi1(empty, homology_trivial(empty))) == FgAbelian(2 * h)
         rng = random.Random(20260811)
         for _ in range(100):
             g = rng.randrange(1, 5)

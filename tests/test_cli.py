@@ -20,7 +20,7 @@ from oracles import (
 from reader_differential import check_parser_against_reference, check_reader_against_argparse
 from aspherical import abhomology, asphericity, cli, fibersum, lefschetz, zlinalg
 from aspherical.cli import GroupSpecError, main, parse_group_spec
-from aspherical.word import (
+from aspherical.limits import (
     _MAX_BASE_GENUS,
     _MAX_FIBER_GENUS,
     _MAX_FREE_RANK,
@@ -30,11 +30,10 @@ from aspherical.word import (
     _MAX_TORSION_BITS,
     _MAX_TORSION_DIGITS,
     _MAX_TORSION_ORDERS,
-    _MAX_TWIST_BIT_WORK,
     _MAX_TWIST_WORK,
     _MAX_WITNESS_GENERATORS,
-    exponent_vector,
 )
+from aspherical.word import exponent_vector
 from aspherical.zlinalg import FgAbelian, IntMatrix
 
 
@@ -393,49 +392,84 @@ def test_chain_relation_twist_work_is_far_under_the_limit(g):
 
 def _alternating(n):
     """A genus-1 fibration file of n twists, + a1 and - b1 in turn.  Each
-    adds at most one bit to the monodromy entries (|c|_max |c|_1 = 1) and
-    updates 2 rows of 2 entries, so the bit work is 4 (2 + 3 + ... + (n + 1))."""
+    adds at most one bit to the bound on the monodromy entries
+    (|c|_max |c|_1 = 1) and updates 2 rows of 2 entries."""
     lines = ("cycle + a1\n", "cycle - b1\n")
     return "fibration alt\nfiber_genus 1\n" + "".join(lines[i % 2] for i in range(n))
 
 
-def test_fibration_over_the_twist_bit_limit_exits_2_before_any_twist(
-    capsys, tmp_path, monkeypatch
-):
-    # Entries that grow a constant number of bits a twist cost a twist
-    # time linear in their bits; 92,680 such twists take about 1.8 s.
-    def bit_work(n):
-        return 4 * (n * (n + 3) // 2)
-
-    assert bit_work(92680) <= _MAX_TWIST_BIT_WORK < bit_work(92681)
+def test_fibration_over_the_weighed_twist_budget_exits_2_during_the_loop(capsys, tmp_path):
+    # The entries gain about 0.7 bits a twist, so a twist costs time linear
+    # in their bits: past 1024 bits each weighs 2, past 2048 bits 3, and so
+    # on.  The loop stops before the twist that would go over the budget.
     fibration = tmp_path / "alt.txt"
-    monkeypatch.setattr(IntMatrix, "identity", staticmethod(_no_twist_loop))
-    for n in (92681, 200_000):
-        fibration.write_text(_alternating(n))
-        code, out, err = run(capsys, "fibration", str(fibration))
-        assert (code, out) == (2, "")
-        assert err == (
-            f"error: the twists take {bit_work(n)} row-entry updates times entry bits, "
-            f"over the limit of {_MAX_TWIST_BIT_WORK}\n"
-        )
-    fibration.write_text(_alternating(92680))
-    with pytest.raises(AssertionError, match="twist loop"):
-        run(capsys, "fibration", str(fibration))
+    fibration.write_text(_alternating(200_000))
+    code, out, err = run(capsys, "fibration", str(fibration))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the twists through cycle 110275 take 16777384 row-entry updates weighed by "
+        f"entry bits, over the limit of {_MAX_TWIST_WORK}\n"
+    )
+    # The largest such file the bit bound of the pre-pass used to accept.
+    fibration.write_text(_alternating(92_680))
+    code, out, err = run(capsys, "fibration", str(fibration))
+    assert (code, err) == (0, "")
+    assert "cycles: 92680\n" in out
+
+
+def test_fibration_of_slowly_growing_entries_runs_under_the_twist_budget(capsys, tmp_path):
+    # n twists along a1 make [[1, -n], [0, 1]], whose entries reach only 17
+    # bits at n = 100,000: every twist weighs 1.
+    def along_a1(n):
+        return "fibration a\nfiber_genus 1\n" + "cycle + a1\n" * n
+
+    for n in range(6):
+        m, _ = lefschetz.parse_factorization(along_a1(n))
+        dense = IntMatrix.identity(2)
+        for c, sign in zip(m.cycles, m.signs):
+            dense = lefschetz.twist_matrix(exponent_vector(c), sign).mul(dense)
+        assert dense == IntMatrix.from_rows([[1, -n], [0, 1]], cols=2)
+        assert lefschetz.monodromy_product(m) == dense
+    fibration = tmp_path / "a1.txt"
+    fibration.write_text(along_a1(100_000))
+    code, out, err = run(capsys, "fibration", str(fibration))
+    assert (code, err) == (0, "")
+    assert "homology_trivial: false" in out
+    m, _ = lefschetz.parse_factorization(along_a1(100_000))
+    assert lefschetz.monodromy_product(m) == IntMatrix.from_rows([[1, -100_000], [0, 1]], cols=2)
+
+
+def test_trivial_twists_need_no_entry_scan(capsys, tmp_path):
+    # Twists along null-homologous cycles update nothing and add no bits, so
+    # the entries are never scanned: not at genus 0, where the product has
+    # no entries, and not at genus 512, where 17 scans of 2^20 entries
+    # would take more than the whole budget.
+    fibration = tmp_path / "trivial.txt"
+    fibration.write_text("fibration trivial\nfiber_genus 0\n" + "cycle + 1\n" * 2048)
+    code, out, err = run(capsys, "fibration", str(fibration))
+    assert (code, err) == (0, "")
+    assert "homology_trivial: true" in out
+    m, _ = lefschetz.parse_factorization(
+        "fibration trivial\nfiber_genus 512\n" + "cycle - 1\n" * (17 * 1024)
+    )
+    assert lefschetz.monodromy_product(m) == IntMatrix.identity(1024)
 
 
 @pytest.mark.parametrize("g", range(1, 7))
-def test_chain_relation_fibrations_stay_far_under_the_twist_bit_limit(g, capsys, tmp_path):
+def test_chain_relation_fibrations_stay_far_under_the_twist_budget(g, capsys, tmp_path):
     fibration = tmp_path / "chain.txt"
     fibration.write_text(chain_relation(g))
     code, out, err = run(capsys, "fibration", str(fibration))
     assert (code, err) == (0, "")
     assert "homology_trivial: true" in out
+    # Fewer than 1024 twists, and a bound on the entry bits under 1024 after
+    # the last: no scan, and every twist weighs 1.
     m, _ = lefschetz.parse_factorization(chain_relation(g))
-    n, bits, work = 2 * g, 1, 0
-    for c in map(exponent_vector, m.cycles):
-        bits += (max(map(abs, c)) * sum(map(abs, c))).bit_length()
-        work += 2 * (n - c.count(0)) * n * bits
-    assert work < _MAX_TWIST_BIT_WORK // 1000
+    classes = [exponent_vector(c) for c in m.cycles]
+    bits = 1 + sum((max(map(abs, c)) * sum(map(abs, c))).bit_length() for c in classes)
+    assert len(classes) < 1024 and bits < 1024
+    n = 2 * g
+    assert sum(2 * (n - c.count(0)) * n for c in classes) < _MAX_TWIST_WORK // 1000
 
 
 def _surface_file(g, extra_relators=()):

@@ -26,7 +26,7 @@ from aspherical.fibersum import (
     witness_presentation,
 )
 from aspherical.fpgroup import parse_presentation
-from aspherical.lefschetz import parse_factorization, total_space_pi1
+from aspherical.lefschetz import homology_trivial, parse_factorization, total_space_pi1
 from aspherical.zlinalg import FgAbelian, IntMatrix, abelianization, cokernel, relator_matrix
 
 
@@ -92,7 +92,7 @@ def test_abelianization_of_witnesses_matches_dense_reference():
 def test_abelianization_of_chain_fibrations_and_fiber_sums_matches_dense_reference():
     for g in range(1, 7):
         m, _ = parse_factorization(chain_relation(g))
-        pi1 = total_space_pi1(m)
+        pi1 = total_space_pi1(m, homology_trivial(m))
         base = _assert_matches_reference(pi1)
         fibered = SurfaceFiberedPresentation(g, pi1)
         for e in range(1, 5):

@@ -136,7 +136,7 @@ def test_monodromy_product_matches_dense_twist_fold():
             assert monodromy_product(m) == dense
             trivial = dense == IntMatrix.identity(2 * g)
             assert homology_trivial(m) == trivial
-            assert ("caveat" not in total_space_pi1(m).label) == trivial
+            assert ("caveat" not in total_space_pi1(m, homology_trivial(m)).label) == trivial
 
 
 def test_monodromy_order_convention():
@@ -173,18 +173,18 @@ def test_homology_trivial_conjugation_invariant():
 
 def test_total_space_pi1_kill_everything():
     m = factorization(2, (1, "a1"), (1, "b1"), (1, "a2"), (1, "b2"))
-    p = total_space_pi1(m)
+    p = total_space_pi1(m, homology_trivial(m))
     assert abelianization(p) == FgAbelian(0)
 
 
 def test_total_space_pi1_partial_kill():
     m = factorization(2, (1, "a1"), (1, "b1"))
-    assert abelianization(total_space_pi1(m)) == FgAbelian(2)
+    assert abelianization(total_space_pi1(m, homology_trivial(m))) == FgAbelian(2)
 
 
 def test_total_space_pi1_no_cycles():
     m = MonodromyFactorization(3, (), ())
-    p = total_space_pi1(m)
+    p = total_space_pi1(m, homology_trivial(m))
     assert p.generators == surface_group(3).generators
     assert p.relators == surface_group(3).relators
     assert abelianization(p) == FgAbelian(6)
@@ -194,7 +194,7 @@ def test_total_space_pi1_no_cycles():
 def test_total_space_pi1_caveat_label():
     m = factorization(1, (1, "a1"))
     assert not homology_trivial(m)
-    p = total_space_pi1(m)
+    p = total_space_pi1(m, homology_trivial(m))
     assert "caveat" in p.label
 
 
@@ -214,7 +214,7 @@ def test_total_space_abelianization_matches_cycle_lattice():
         rows = [[0] * (2 * g)]  # the surface relator abelianizes to zero
         rows += [list(exponent_vector(c)) for c in cycles]
         expected = cokernel(IntMatrix.from_rows(rows, cols=2 * g))
-        assert abelianization(total_space_pi1(m)) == expected
+        assert abelianization(total_space_pi1(m, homology_trivial(m))) == expected
 
 
 def test_vanishing_cycle_reduces_and_records_homology():

@@ -17,7 +17,7 @@ from aspherical.fibersum import (
     witness_presentation,
 )
 from aspherical.fpgroup import Presentation, render_presentation, surface_group
-from aspherical.lefschetz import parse_factorization, total_space_pi1
+from aspherical.lefschetz import homology_trivial, parse_factorization, total_space_pi1
 from aspherical.word import (
     Generator,
     Word,
@@ -123,7 +123,7 @@ def test_abelianization_equals_the_dense_reference():
     presentations = [witness_presentation(gamma) for gamma in groups]
     for g in (1, 2, 3):
         m, _ = parse_factorization(chain_relation(g))
-        pi1 = total_space_pi1(m)
+        pi1 = total_space_pi1(m, homology_trivial(m))
         for e in (1, 2):
             fibered = SurfaceFiberedPresentation(g, pi1)
             presentations.append(fiber_sum_with_trivial_bundle(fibered, e))

@@ -39,6 +39,7 @@ from aspherical.fpgroup import (
 )
 from aspherical.lefschetz import (
     MonodromyFactorization,
+    homology_trivial,
     monodromy_product,
     parse_factorization,
     total_space_pi1,
@@ -145,7 +146,7 @@ def test_chain_relation_cycles_stay_shared_through_the_constructions(g):
     assert _distinct(m.cycles) == len(lines)
     fiber = m.cycles[0].alphabet
     assert all(c.alphabet is fiber for c in m.cycles)
-    pi1 = total_space_pi1(m)
+    pi1 = total_space_pi1(m, homology_trivial(m))
     assert pi1.generators is fiber
     assert _distinct(pi1.relators) == len(lines) + 1
     total = fiber_sum_with_trivial_bundle(SurfaceFiberedPresentation(g, pi1), 2)
