@@ -34,8 +34,6 @@ from itertools import accumulate, chain, repeat
 from .limits import _MAX_HOMOLOGY_SUMMANDS
 from .zlinalg import FgAbelian
 
-DEFAULT_DEGREE_CAP = 8
-
 
 class InsufficientDegrees(ValueError):
     pass
@@ -133,9 +131,7 @@ def kunneth(ha: tuple[FgAbelian, ...], hb: tuple[FgAbelian, ...], n: int) -> FgA
     return FgAbelian.from_counts(free, acc)
 
 
-def group_homology_graded(
-    g: FgAbelian, max_degree: int = DEFAULT_DEGREE_CAP
-) -> tuple[FgAbelian, ...]:
+def group_homology_graded(g: FgAbelian, max_degree: int) -> tuple[FgAbelian, ...]:
     """H_0..H_max of g, indexed by degree: Z^C(m,k) for the free part,
     then one prefix sum over the degrees per invariant factor (see the
     module docstring).
@@ -177,8 +173,9 @@ def factor_homology_sum(g: FgAbelian, k: int) -> FgAbelian:
     """H_k of the free part plus H_k of each invariant factor: Z^C(m,k),
     plus Z for each factor when k = 0, plus g's torsion when k is odd.
 
-    Always a direct summand of the full H_k(g); the difference is the
-    cross terms the Kunneth formula contributes.
+    For k >= 1 a direct summand of the full H_k(g); the difference is the
+    cross terms the Kunneth formula contributes.  At k = 0 it is not once g
+    has torsion: Z^{1 + t} for t invariant factors, while H_0(g) = Z.
     """
     free = math.comb(g.free_rank, k) + (len(g.torsion) if k == 0 else 0)
     return FgAbelian(free, g.torsion if k % 2 else ())

@@ -28,7 +28,9 @@ from typing import TYPE_CHECKING
 
 from . import abhomology, asphericity, fibersum, lefschetz, zlinalg
 from .fpgroup import parse_presentation, render_presentation
-from .limits import _MAX_FREE_RANK, _MAX_TORSION_BITS, _MAX_TORSION_DIGITS, _MAX_TORSION_ORDERS
+from .limits import (
+    _MAX_FREE_RANK, _MAX_HOMOLOGY_DEGREE, _MAX_TORSION_BITS, _MAX_TORSION_DIGITS, _MAX_TORSION_ORDERS,
+)
 from .word import _quote
 from .zlinalg import FgAbelian
 
@@ -163,10 +165,8 @@ def cmd_classify(args: Args) -> int:
 def cmd_homology(args: Args) -> int:
     gamma = parse_group_spec(args.group)
     degree = args.degree if args.degree is not None else args.max_degree
-    if not 0 <= degree <= abhomology.DEFAULT_DEGREE_CAP:
-        raise GroupSpecError(
-            f"max degree must be between 0 and {abhomology.DEFAULT_DEGREE_CAP}"
-        )
+    if not 0 <= degree <= _MAX_HOMOLOGY_DEGREE:
+        raise GroupSpecError(f"max degree must be between 0 and {_MAX_HOMOLOGY_DEGREE}")
     graded = abhomology.group_homology_graded(gamma, max_degree=degree)
     summand = abhomology.factor_homology_sum(gamma, degree)
     payload = {"group": gamma.render(), "max_degree": degree}
@@ -238,13 +238,12 @@ def cmd_snf(args: Args) -> int:
 
 def cmd_fibersum(args: Args) -> int:
     p = parse_presentation(_read_input(args.file))
-    fibered = fibersum.SurfaceFiberedPresentation(len(p.generators) // 2, p)
-    result = fibersum.fiber_sum_with_trivial_bundle(fibered, args.base_genus)
+    result = fibersum.fiber_sum_with_trivial_bundle(p, args.base_genus)
     ab = zlinalg.abelianization(result)
     ab_p = zlinalg.abelianization(p)  # a free summand leaves the invariant factors as they are
     expected = FgAbelian(ab_p.free_rank + 2 * args.base_genus, ab_p.torsion)
     _emit(args, {
-        "fiber_genus": fibered.fiber_genus,
+        "fiber_genus": len(p.generators) // 2,
         "base_genus": args.base_genus,
         "abelianization": ab.render(),
         "expected_abelianization": expected.render(),
@@ -315,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-degree",
         type=int,
         default=3,
-        help="default top homology degree for reports (at most 8)",
+        help=f"default top homology degree for reports (at most {_MAX_HOMOLOGY_DEGREE})",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for command, (func, summary, operand, operand_help) in _COMMANDS.items():

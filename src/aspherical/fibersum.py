@@ -1,7 +1,8 @@
 """Presentation-level fiber sums and the aspherical witness pipeline.
 
-A fibered total space is carried around as its fiber surface
-presentation plus extra relators.  Summing with a trivial bundle
+A fibered total space is carried around as a surface-fibered
+`Presentation`: the genus-f fiber's surface generators, the surface
+relator first, then extra relators.  Summing with a trivial bundle
 Sigma_e x F adjoins base generators x_j, y_j, the base surface relator
 and mixed commutators, realizing pi_1(X) x pi_e at the presentation
 level.
@@ -21,7 +22,7 @@ from .fpgroup import (
     surface_relator,
 )
 from .limits import _MAX_BASE_GENUS, _MAX_GENUS_PRODUCT, _MAX_PARSED_LETTERS, _MAX_WITNESS_GENERATORS
-from .word import Generator, Word, _Value
+from .word import Word
 from .zlinalg import FgAbelian
 
 
@@ -49,59 +50,45 @@ _NOT_ASPHERICAL = {
 }
 
 
-class SurfaceFiberedPresentation(_Value):
-    """A presentation on the fiber surface generators a_1,b_1,...,a_f,b_f
-    whose first relator is the surface relator; the rest are the extra
-    relators cutting the total space's fundamental group out of pi_f."""
+def fiber_sum_with_trivial_bundle(p: Presentation, e: int) -> Presentation:
+    """Presentation, unlabelled, of the fiber sum of p with Sigma_e x F.
 
-    __slots__ = ("fiber_genus", "presentation")
-
-    def __init__(self, fiber_genus: int, presentation: Presentation):
-        p, g = presentation, fiber_genus
-        if g < 0 or p.generators != surface_generators(g):
-            raise NotSurfaceFibered(
-                f"generators must be exactly those of the genus-{g} surface group, in order"
-            )
-        if not p.relators or p.relators[0] != surface_relator(p.generators):
-            raise NotSurfaceFibered("first relator must be the surface relator")
-        object.__setattr__(self, "fiber_genus", fiber_genus)
-        object.__setattr__(self, "presentation", presentation)
-
-    @property
-    def extra_relators(self) -> tuple[Word, ...]:
-        return self.presentation.relators[1:]
-
-
-def fiber_sum_with_trivial_bundle(
-    x: SurfaceFiberedPresentation, e: int, label: str | None = None
-) -> Presentation:
-    """Presentation of the fiber sum with Sigma_e x F, labelled `label`.
+    p must be surface-fibered over the fiber genus f = len(p.generators)
+    // 2: its generators are a_1,b_1,...,a_f,b_f in order and its first
+    relator is their surface relator; the rest are the extra relators
+    cutting the total space's fundamental group out of pi_f.  Otherwise
+    NotSurfaceFibered is raised, before the base genus e is checked.
 
     Generators: the fiber's a_i, b_i followed by base generators
     x_1,y_1,...,x_e,y_e.  Relators: both surface relators, the mixed
     commutators [x_j,a_i], [x_j,b_i], [y_j,a_i], [y_j,b_i], then the
-    extra relators of x; a relator of x that repeats as one object stays
-    one object.  The abelianization is always ab(x) + Z^{2e}.
+    extra relators of p; a relator of p that repeats as one object stays
+    one object.  The abelianization is always ab(p) + Z^{2e}.
     """
+    f = len(p.generators) // 2
+    if p.generators != surface_generators(f):
+        raise NotSurfaceFibered(
+            f"generators must be exactly those of the genus-{f} surface group, in order"
+        )
+    if not p.relators or p.relators[0] != surface_relator(p.generators):
+        raise NotSurfaceFibered("first relator must be the surface relator")
     if e < 1:
         raise InvalidGenus(f"base genus must be at least 1, got {e}")
     if e > _MAX_BASE_GENUS:
         raise ValueError(f"base genus {e} exceeds the limit of {_MAX_BASE_GENUS}")
-    f = x.fiber_genus
     if e * f > _MAX_GENUS_PRODUCT:
         raise ValueError(
             f"base genus {e} times fiber genus {f} exceeds the limit of {_MAX_GENUS_PRODUCT}"
         )
-    gens = x.presentation.generators + surface_generators(e, "xy")
-    fiber_relators = {id(w): w for w in x.presentation.relators}
+    gens = p.generators + surface_generators(e, "xy")
+    fiber_relators = {id(w): w for w in p.relators}
     rebound = {k: Word(gens, w.letters) for k, w in fiber_relators.items()}
-    first = rebound[id(x.presentation.relators[0])]
-    extra = [rebound[id(r)] for r in x.extra_relators]
-    return Presentation(gens, _fiber_sum_relators(gens, f, e, first, extra), label=label)
+    first, *extra = [rebound[id(r)] for r in p.relators]
+    return Presentation(gens, _fiber_sum_relators(gens, f, e, first, extra))
 
 
 def _fiber_sum_relators(
-    gens: tuple[Generator, ...], f: int, e: int, fiber_relator: Word, extra: list[Word]
+    gens: tuple[str, ...], f: int, e: int, fiber_relator: Word, extra: list[Word]
 ) -> tuple[Word, ...]:
     """The fiber sum's relators over `gens`, a genus-f fiber's generators
     then genus-e base generators: the fiber's surface relator, the base's,

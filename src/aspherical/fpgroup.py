@@ -1,11 +1,14 @@
 """Finitely presented groups and presentation-level homomorphisms.
 
-Covers the constructors the constructions need: surface groups with the
-standard one-relator presentation, free products, quotients by normal
-closures of word sets, presentations of finitely generated abelian
-groups, and the pinch map collapsing the separating circle of a genus
-sum.  `_read_word_file` is the one reader of both word file formats:
-presentation files here, and fibration files for `lefschetz`.
+A presentation's generators are a tuple of names, the alphabet of its
+relator words.  Covers the constructors the constructions need: surface
+groups with the standard one-relator presentation, free products,
+quotients by normal closures of word sets, presentations of finitely
+generated abelian groups, and the pinch map collapsing the separating
+circle of a genus sum.  `_read_word_file` is the one reader of both word
+file formats: presentation files here, whose gens line is where names
+are checked against the ident grammar, and fibration files for
+`lefschetz`.
 
 Homomorphisms carry one image word per source generator.  Validity is
 certified at the abelianized level only (the image of every source
@@ -16,11 +19,11 @@ presented group is not attempted.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable, Iterable
 
 from . import zlinalg
 from .word import (
-    Generator,
     Word,
     _Value,
     _free_reduce,
@@ -52,16 +55,15 @@ class FormatError(ValueError):
 
 
 class Presentation(_Value):
-    """Generators plus relator words; relators stay cyclically reduced."""
+    """Generator names plus relator words; relators stay cyclically reduced."""
 
     __slots__ = ("generators", "relators", "label")
 
     def __init__(
-        self, generators: tuple[Generator, ...], relators: tuple[Word, ...], label: str | None = None
+        self, generators: tuple[str, ...], relators: tuple[Word, ...], label: str | None = None
     ):
-        names = [g.name for g in generators]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate generator names in {_quote(names)}")
+        if len(set(generators)) != len(generators):
+            raise ValueError(f"duplicate generator names in {_quote(list(generators))}")
         if label is not None and "\n" in label:
             raise ValueError("label must be a single line")
         for r in relators:
@@ -124,12 +126,12 @@ def compose(f: GroupHom, g: GroupHom) -> GroupHom:
 # --- constructors -----------------------------------------------------------
 
 
-def surface_generators(g: int, letters: str = "ab") -> tuple[Generator, ...]:
+def surface_generators(g: int, letters: str = "ab") -> tuple[str, ...]:
     """a_1,b_1,...,a_g,b_g (or the pairs named by `letters`), in order."""
-    return tuple(Generator(f"{c}{i + 1}") for i in range(g) for c in letters)
+    return tuple(f"{c}{i + 1}" for i in range(g) for c in letters)
 
 
-def surface_relator(gens: tuple[Generator, ...], first: int = 0, stop: int | None = None) -> Word:
+def surface_relator(gens: tuple[str, ...], first: int = 0, stop: int | None = None) -> Word:
     """[a_1,b_1]...[a_g,b_g] over the generator pairs from index `first` up
     to `stop` (the end by default), laid out already reduced: neighbouring
     letters name different generators."""
@@ -152,7 +154,7 @@ def surface_group(g: int) -> Presentation:
     return Presentation(gens, (surface_relator(gens),), label=f"pi_{g}")
 
 
-def _rebind(w: Word, alphabet: tuple[Generator, ...], shift: int = 0) -> Word:
+def _rebind(w: Word, alphabet: tuple[str, ...], shift: int = 0) -> Word:
     return Word(alphabet, tuple((i + shift, s) for i, s in w.letters))
 
 
@@ -162,17 +164,16 @@ def free_product(p: Presentation, q: Presentation) -> Presentation:
     Name clashes in the second factor are resolved by a numeric suffix
     (x -> x_2, x_3, ...), deterministically.
     """
-    taken = {g.name for g in p.generators}
+    taken = set(p.generators)
     renamed = []
-    for g in q.generators:
-        name = g.name
+    for name in q.generators:
         if name in taken:
             k = 2
             while f"{name}_{k}" in taken:
                 k += 1
             name = f"{name}_{k}"
         taken.add(name)
-        renamed.append(Generator(name))
+        renamed.append(name)
     gens = p.generators + tuple(renamed)
     shift = len(p.generators)
     relators = tuple(_rebind(r, gens) for r in p.relators) + tuple(
@@ -191,8 +192,8 @@ def quotient_by_normal_closure(p: Presentation, ws: Iterable[Word]) -> Presentat
 def abelian_presentation(g: FgAbelian) -> Presentation:
     """One generator per free rank (g1, g2, ...) and per invariant factor
     (t1, t2, ...); relators are all pairwise commutators plus t_i^{d_i}."""
-    gens = tuple(Generator(f"g{i + 1}") for i in range(g.free_rank)) + tuple(
-        Generator(f"t{i + 1}") for i in range(len(g.torsion))
+    gens = tuple(f"g{i + 1}" for i in range(g.free_rank)) + tuple(
+        f"t{i + 1}" for i in range(len(g.torsion))
     )
     relators = [
         Word(gens, ((i, 1), (j, 1), (i, -1), (j, -1)))
@@ -225,7 +226,7 @@ def render_presentation(p: Presentation) -> str:
     """group/gens/rel lines; generators and relators in declared order.
     The name tables are made once, and a relator object that repeats is
     rendered once."""
-    names = [g.name for g in p.generators]
+    names = p.generators
     inverses = [f"{name}^-1" for name in names]
     lines = [f"group {p.label}" if p.label else "group", " ".join(["gens", *names])]
     rendered: dict[int, str] = {}
@@ -240,8 +241,7 @@ def render_presentation(p: Presentation) -> str:
 def parse_presentation(text: str) -> Presentation:
     """Parse group/gens/rel text: generator names, then relator words."""
     label, gens, relators, _ = _read_word_file(
-        text, "group", "gens", "rel",
-        lambda rest: tuple(Generator(name) for name in rest.split()), lambda rest: (None, rest),
+        text, "group", "gens", "rel", _generator_names, lambda rest: (None, rest)
     )
     try:
         return Presentation(gens, tuple(relators), label=label)
@@ -249,9 +249,21 @@ def parse_presentation(text: str) -> Presentation:
         raise FormatError(str(e)) from e
 
 
+_IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
+
+
+def _generator_names(text: str) -> tuple[str, ...]:
+    """A gens line's names, each checked against the ident grammar of `word`."""
+    names = tuple(text.split())
+    for name in names:
+        if not _IDENT_RE.match(name):
+            raise ValueError(f"invalid generator name {_quote(name)}")
+    return names
+
+
 def _read_word_file(
     text: str, header: str, space: str, item: str, alphabet_of: Callable, split: Callable
-) -> tuple[str | None, tuple[Generator, ...], list[Word], list]:
+) -> tuple[str | None, tuple[str, ...], list[Word], list]:
     """The reader of presentation and fibration files: blank lines aside,
     the `header` line once (its rest is the label), the `space` line once
     (`alphabet_of` reads its rest), then `item` lines (`split` reads each

@@ -21,7 +21,7 @@ from .fpgroup import (
     surface_relator,
 )
 from .limits import _MAX_FIBER_GENUS, _MAX_TWIST_WORK
-from .word import Generator, Word, _Value, _quote, exponent_vector
+from .word import Word, _Value, _quote, exponent_vector
 from .zlinalg import DimensionMismatch, IntMatrix
 
 
@@ -169,7 +169,7 @@ def parse_factorization(text: str) -> tuple[MonodromyFactorization, str | None]:
     return MonodromyFactorization(len(fiber) // 2, tuple(cycles), tuple(signs)), label
 
 
-def _fiber_generators(text: str) -> tuple[Generator, ...]:
+def _fiber_generators(text: str) -> tuple[str, ...]:
     """The surface generators of the genus a fiber_genus line gives."""
     try:
         genus = int(text)

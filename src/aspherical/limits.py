@@ -26,6 +26,9 @@ _MAX_GENUS_PRODUCT = 1 << 14
 _MAX_FIBER_GENUS = 512
 _MAX_TWIST_WORK = 1 << 24
 _MAX_HOMOLOGY_SUMMANDS = 1 << 20
+# `homology` reports degrees 0 through its degree operand or --max-degree,
+# which may be at most this.
+_MAX_HOMOLOGY_DEGREE = 8
 # A group spec's largest invariant factor, the lcm of its torsion orders, may
 # take as many bits as fit in 4300 digits, so that every factor prints within
 # Python's 4300-digit int-to-str limit.  A term of more digits is refused

@@ -1,9 +1,9 @@
 """Freely reduced words in a finite generating set.
 
 Words are the common currency for relators and vanishing cycles.  A word
-is stored as a sequence of signed letters over a fixed alphabet and is
-kept freely reduced at all times (no adjacent x x^-1 pair).  The text
-grammar, shared by relator files and the CLI, is
+is stored as a sequence of signed letters over a fixed alphabet, a tuple
+of generator names, and is kept freely reduced at all times (no adjacent
+x x^-1 pair).  The text grammar, shared by relator files and the CLI, is
 
     word    := "1" | factor+
     factor  := ident power? | "[" word "," word "]" power? | "(" word ")" power?
@@ -12,6 +12,9 @@ grammar, shared by relator files and the CLI, is
 
 with factors separated by whitespace or "*".  Commutator brackets are
 sugar: [u,v] denotes u v u^-1 v^-1.  The identity word renders as "1".
+Names from outside, a presentation file's gens line, are checked against
+`ident` where `fpgroup` reads them; the alphabets built in code are
+ident-shaped already.
 
 The parser, and every function here or in `fpgroup` and `fibersum` that
 makes a word, assembles the letters, freely reduces them once and
@@ -30,8 +33,6 @@ from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .limits import _MAX_PARSED_LETTERS
-
-_IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 
 class _Value:
@@ -77,23 +78,13 @@ class UnknownGenerator(ValueError):
         self.name = name
 
 
-class Generator(_Value):
-    """A named generator.  Names follow the ident grammar above."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        if not _IDENT_RE.match(name):
-            raise ValueError(f"invalid generator name {_quote(name)}")
-        object.__setattr__(self, "name", name)
-
-
 class Word(_Value):
-    """A freely reduced word: letters are (generator index, sign) pairs."""
+    """A freely reduced word: letters are (generator index, sign) pairs
+    over an alphabet, a tuple of generator names."""
 
     __slots__ = ("alphabet", "letters")
 
-    def __init__(self, alphabet: tuple[Generator, ...], letters: tuple[tuple[int, int], ...]):
+    def __init__(self, alphabet: tuple[str, ...], letters: tuple[tuple[int, int], ...]):
         n = len(alphabet)
         pi = ps = None  # the previous letter
         k = 0  # counted by hand: enumerate made this loop a third slower
@@ -148,8 +139,8 @@ def exponent_vector(w: Word) -> tuple[int, ...]:
 
 def render_word(w: Word) -> str:
     """Render with runs collapsed into powers; the identity is "1"."""
-    names = {i: w.alphabet[i].name for i, _ in w.letters}
-    return _render_letters(w.letters, names, {i: f"{x}^-1" for i, x in names.items()})
+    names = w.alphabet
+    return _render_letters(w.letters, names, {i: f"{names[i]}^-1" for i, _ in set(w.letters)})
 
 
 def _render_letters(
@@ -210,11 +201,10 @@ def _quote(value: object) -> str:
 
 
 class _Parser:
-    def __init__(self, text: str, alphabet: tuple[Generator, ...]):
+    def __init__(self, text: str, alphabet: Sequence[str]):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.alphabet = alphabet
-        self.index = {g.name: i for i, g in enumerate(alphabet)}
+        self.index = {name: i for i, name in enumerate(alphabet)}
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -293,9 +283,10 @@ def _power(letters: list[tuple[int, int]], n: int) -> list[tuple[int, int]]:
     return letters * n
 
 
-def parse_word(text: str, alphabet: Sequence[Generator]) -> Word:
-    """Parse `text` over `alphabet`; see the module docstring for the grammar."""
-    parser = _Parser(text, tuple(alphabet))
+def parse_word(text: str, alphabet: Sequence[str]) -> Word:
+    """Parse `text` over `alphabet`, a sequence of generator names; see the
+    module docstring for the grammar."""
+    parser = _Parser(text, alphabet)
     letters = parser.parse_word(closers=("end",))
     parser.take("end")
     return Word(tuple(alphabet), _free_reduce(letters))

@@ -54,15 +54,12 @@ replaced them.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cache
 
 from aspherical.asphericity import Reason
-from aspherical.fibersum import (
-    NotAspherical,
-    SurfaceFiberedPresentation,
-    fiber_sum_with_trivial_bundle,
-)
+from aspherical.fibersum import NotAspherical, fiber_sum_with_trivial_bundle
 from aspherical.fpgroup import (
     FormatError,
     GroupHom,
@@ -73,7 +70,7 @@ from aspherical.fpgroup import (
 )
 from aspherical.lefschetz import MonodromyFactorization
 from aspherical.limits import _MAX_FIBER_GENUS
-from aspherical.word import Generator, Word, cyclic_reduce, parse_word
+from aspherical.word import Word, _quote, cyclic_reduce, parse_word
 from aspherical.zlinalg import (
     DimensionMismatch,
     FgAbelian,
@@ -759,7 +756,7 @@ def invert(w: Word) -> Word:
 
 def free_group(r: int) -> Presentation:
     """<g1, ..., gr | >."""
-    return Presentation(tuple(Generator(f"g{i + 1}") for i in range(r)), (), label=f"F_{r}")
+    return Presentation(tuple(f"g{i + 1}" for i in range(r)), (), label=f"F_{r}")
 
 
 def transpose(a: IntMatrix) -> IntMatrix:
@@ -772,7 +769,7 @@ def reference_commutator(u: Word, v: Word) -> Word:
     return multiply(multiply(u, v), multiply(invert(u), invert(v)))
 
 
-def reference_surface_relator(gens: tuple[Generator, ...]) -> Word:
+def reference_surface_relator(gens: tuple[str, ...]) -> Word:
     """[a_1,b_1]...[a_g,b_g], one product per commutator (quadratic in g)."""
     w = empty_word(gens)
     for i in range(0, len(gens), 2):
@@ -824,8 +821,8 @@ def reference_witness(gamma: FgAbelian) -> Presentation:
     r = m_prime + len(gamma.torsion)
     h = 2 * r
     g = h + 1
-    fiber = tuple(Generator(f"{x}{i + 1}") for i in range(g) for x in ("a", "b"))
-    gens = fiber + (Generator("x1"), Generator("y1"))
+    fiber = tuple(f"{x}{i + 1}" for i in range(g) for x in ("a", "b"))
+    gens = fiber + ("x1", "y1")
 
     def gen(i: int, sign: int = 1) -> Word:
         return generator_word(gens, i, sign)
@@ -850,8 +847,8 @@ def reference_witness(gamma: FgAbelian) -> Presentation:
 
 def reference_witness_presentation(gamma: FgAbelian) -> Presentation:
     """The witness in two stages: the fibered `Presentation` on the
-    genus-g fiber alphabet, checked as a `SurfaceFiberedPresentation`,
-    then `fiber_sum_with_trivial_bundle(..., 1, label)`."""
+    genus-g fiber alphabet, then `fiber_sum_with_trivial_bundle(..., 1)`,
+    which checks that it is surface-fibered; the sum gets the witness label."""
     m = gamma.free_rank
     label = f"witness {gamma.render()}"
     if gamma == FgAbelian(2):
@@ -878,10 +875,9 @@ def reference_witness_presentation(gamma: FgAbelian) -> Presentation:
             relators.append(Word(gens, ((2 * i, 1), (2 * j, 1), (2 * i, -1), (2 * j, -1))))
     for t, dt in enumerate(a.torsion):
         relators.append(Word(gens, ((2 * (m_prime + t), 1),) * dt))
-    fibered = SurfaceFiberedPresentation(
-        g, Presentation(gens, (surface_relator(gens),) + tuple(relators))
-    )
-    return fiber_sum_with_trivial_bundle(fibered, 1, label)
+    fibered = Presentation(gens, (surface_relator(gens),) + tuple(relators))
+    total = fiber_sum_with_trivial_bundle(fibered, 1)
+    return Presentation(total.generators, total.relators, label=label)
 
 
 # --- reference argv grammar --------------------------------------------------
@@ -946,7 +942,7 @@ def reference_parser():
 def reference_parse_presentation(text: str) -> Presentation:
     """Parse group/gens/rel text; a repeated relator text is parsed once."""
     label: str | None = None
-    gens: tuple[Generator, ...] | None = None
+    gens: tuple[str, ...] | None = None
     relators: list[Word] = []
     parsed: dict[str, Word] = {}
     seen_group = False
@@ -966,10 +962,10 @@ def reference_parse_presentation(text: str) -> Presentation:
                 raise FormatError(f"line {lineno}: gens before group")
             if gens is not None:
                 raise FormatError(f"line {lineno}: repeated gens line")
-            try:
-                gens = tuple(Generator(name) for name in rest.split())
-            except ValueError as e:
-                raise FormatError(f"line {lineno}: {e}") from e
+            gens = tuple(rest.split())
+            for name in gens:
+                if not re.fullmatch(r"[a-z][a-z0-9_]*", name):
+                    raise FormatError(f"line {lineno}: invalid generator name {_quote(name)}")
         elif key == "rel":
             if gens is None:
                 raise FormatError(f"line {lineno}: rel before gens")

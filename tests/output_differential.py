@@ -1,0 +1,103 @@
+"""Every benchmark op's CLI output from this tree against another tree's.
+
+Runs each op of the three benchmark workloads (`perfbench/workloads.py`),
+at seeds 1 and 2, in text and in JSON, through the `aspherical.cli` of
+this tree and through that of OTHER_TREE, and compares the exit code,
+stdout and stderr of each run.  Exits 1 naming the runs that differ, 0
+when none does: a change that keeps the README's byte-identical output
+contract passes against its base commit.
+
+Each tree runs in a child process of its own, which imports that tree's
+package.  Both children take the ops from this tree's `perfbench/`,
+read only, and write the ops' input files with `worker.materialize` into
+one and the same work directory, so that paths agree in messages.
+
+Standard library only:
+
+    python tests/output_differential.py OTHER_TREE
+
+with OTHER_TREE a checkout of the base, made with, say,
+`git worktree add ../base main`.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEEDS = (1, 2)
+FORMATS = ("text", "json")
+
+
+def run_tree(tree: Path, workdir: Path) -> list[list]:
+    """Each run's name, exit code, stdout digest and stderr, through the
+    CLI of `tree`."""
+    sys.path[:0] = [str(tree / "src"), str(ROOT / "perfbench")]
+    import worker
+    import workloads
+    from aspherical import cli
+
+    if Path(cli.__file__).resolve().parents[2] != tree:
+        raise RuntimeError(f"imported {cli.__file__}, not the CLI of {tree}")
+    call = worker.make_call(cli)
+    rows = []
+    for workload in workloads.WORKLOADS:
+        for seed in SEEDS:
+            shutil.rmtree(workdir, ignore_errors=True)
+            workdir.mkdir()
+            ops = workloads.build(workload, seed)
+            for k, (op, argv) in enumerate(zip(ops, worker.materialize(ops, workdir, call))):
+                for fmt in FORMATS:
+                    rc, out, err = call(("--format", fmt, *argv))
+                    name = f"{workload} seed {seed} op {k} ({op.label}) {fmt}"
+                    rows.append([name, rc, hashlib.sha256(out.encode()).hexdigest(), err])
+    return rows
+
+
+def _child(tree: Path, workdir: Path) -> dict[str, tuple]:
+    done = subprocess.run(
+        [sys.executable, __file__, "--child", str(tree), str(workdir)],
+        capture_output=True, text=True,
+    )
+    if done.returncode:
+        raise RuntimeError(f"the run of {tree} failed:\n{done.stderr}")
+    return {name: tuple(rest) for name, *rest in map(json.loads, done.stdout.splitlines())}
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--child"]:
+        for row in run_tree(Path(argv[1]), Path(argv[2])):
+            print(json.dumps(row))
+        return 0
+    if len(argv) != 1:
+        print("usage: python tests/output_differential.py OTHER_TREE", file=sys.stderr)
+        return 2
+    other = Path(argv[0]).resolve()
+    if not (other / "src" / "aspherical" / "cli.py").is_file():
+        print(f"error: no aspherical package under {other / 'src'}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as scratch:
+        ours, theirs = (_child(tree, Path(scratch) / "work") for tree in (ROOT, other))
+    differ = []
+    for name in sorted(ours.keys() | theirs.keys()):
+        a, b = ours.get(name), theirs.get(name)
+        if a is None or b is None:
+            differ.append(f"{name}: run only in {ROOT if b is None else other}")
+            continue
+        parts = [part for part, x, y in zip(("exit code", "stdout", "stderr"), a, b) if x != y]
+        if parts:
+            differ.append(f"{name}: {', '.join(parts)} differ (exit {a[0]} here, {b[0]} there)")
+    for line in differ:
+        print(line)
+    print(f"{len(differ)} of {len(ours)} runs differ from {other}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -159,6 +159,18 @@ def test_homology_examples(capsys):
     assert "dim_R_H^3: 4" in out
 
 
+def test_factor_homology_sum_at_degree_0_is_a_summand_only_without_torsion(capsys):
+    # H_0 is Z, while the factors' H_0 sum to Z^{1 + t} for t invariant factors.
+    cases = {"Z^4+Z/2": ("Z^2", "false"), "Z/2": ("Z^2", "false"), "Z/2+Z/4": ("Z^3", "false"),
+             "Z^4": ("Z", "true")}
+    for group, (summand, contained) in cases.items():
+        code, out, _ = run(capsys, "homology", group, "0")
+        assert code == 0
+        assert "H_0 = Z\n" in out
+        assert f"factor_homology_sum_H_0: {summand}\n" in out, group
+        assert f"contains_factor_homology_sum: {contained}\n" in out, group
+
+
 def test_homology_uses_global_max_degree(capsys):
     _, out, _ = run(capsys, "--max-degree", "2", "homology", "Z^2")
     assert "H_2 = Z" in out
@@ -319,6 +331,20 @@ def test_fibersum_rejects_bad_shapes(capsys, tmp_path):
     g = tmp_path / "x.txt"
     g.write_text("group x\ngens a1 b1\nrel [a1,b1]\n")
     assert run(capsys, "fibersum", str(g), "-e", "0")[0] == 3
+
+
+def test_fibersum_checks_the_surface_shape_before_the_base_genus(capsys, tmp_path):
+    free = tmp_path / "free.txt"
+    free.write_text("group f\ngens g1\n")
+    torus = tmp_path / "torus.txt"
+    torus.write_text("group t\ngens a1 b1\nrel a1\n")
+    cases = {
+        free: "generators must be exactly those of the genus-0 surface group, in order",
+        torus: "first relator must be the surface relator",
+    }
+    for path, message in cases.items():
+        for e in ("0", "-1", str(_MAX_BASE_GENUS + 1)):
+            assert run(capsys, "fibersum", str(path), "-e", e) == (3, "", f"error: {message}\n")
 
 
 def test_constructions_over_their_limits_exit_2_before_any_work(capsys, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 from format_differential import check_against_reference
 from aspherical.cli import main
-from aspherical.word import Generator, UnknownGenerator, _quote, parse_word
+from aspherical.word import UnknownGenerator, _quote, parse_word
 
 _N = 100_000
 _LONG = "q" * _N
@@ -72,6 +72,6 @@ def test_a_quote_is_cut_only_past_64_characters_and_the_exception_keeps_the_name
     assert _quote("q" * 63) == "'" + "q" * 63 + "... (65 characters)"
     assert _quote(["a"] * 2) == "['a', 'a']"
     with pytest.raises(UnknownGenerator) as exc:
-        parse_word(_LONG, (Generator("a"),))
+        parse_word(_LONG, ("a",))
     assert str(exc.value) == "unknown generator '" + "q" * 63 + f"... ({_N + 2} characters)"
     assert exc.value.name == _LONG

@@ -31,7 +31,7 @@ from aspherical.fpgroup import (
     surface_group,
     surface_relator,
 )
-from aspherical.word import Generator, Word, cyclic_reduce, parse_word, render_word
+from aspherical.word import Word, cyclic_reduce, parse_word, render_word
 from aspherical.zlinalg import FgAbelian, IntMatrix, in_row_lattice
 
 
@@ -63,7 +63,7 @@ def _partner(rng, alphabet, u):
 def test_commutator_matches_fold():
     rng = random.Random(1501)
     for n in (1, 2, 3):
-        alphabet = tuple(Generator(f"g{i + 1}") for i in range(n))
+        alphabet = tuple(f"g{i + 1}" for i in range(n))
         for _ in range(400):
             u = _random_word(rng, alphabet, 8)
             v = _partner(rng, alphabet, u)
@@ -76,7 +76,7 @@ def test_commutator_matches_fold():
 def test_cyclic_reduce_matches_stripping():
     rng = random.Random(1502)
     for n in (1, 2, 3):
-        alphabet = tuple(Generator(f"g{i + 1}") for i in range(n))
+        alphabet = tuple(f"g{i + 1}" for i in range(n))
         for _ in range(300):
             core = _random_word(rng, alphabet, 6)
             x = _random_word(rng, alphabet, 8)

@@ -12,14 +12,12 @@ import random
 
 from oracles import chain_relation, reference_cokernel, word_from_letters
 from aspherical.fibersum import (
-    SurfaceFiberedPresentation,
     fiber_sum_with_trivial_bundle,
     witness_presentation,
 )
 from aspherical.fpgroup import Presentation, render_presentation, surface_group
 from aspherical.lefschetz import homology_trivial, parse_factorization, total_space_pi1
 from aspherical.word import (
-    Generator,
     Word,
     cyclic_reduce,
     parse_word,
@@ -30,7 +28,7 @@ from aspherical.zlinalg import FgAbelian, abelianization, relator_matrix
 
 def _per_word(p: Presentation) -> str:
     lines = [f"group {p.label}" if p.label else "group"]
-    lines.append(" ".join(["gens", *(g.name for g in p.generators)]))
+    lines.append(" ".join(["gens", *p.generators]))
     lines += [f"rel {render_word(r)}" for r in p.relators]
     return "\n".join(lines) + "\n"
 
@@ -42,12 +40,12 @@ def _grouped(w: Word) -> str:
     parts = []
     for (i, s), run in itertools.groupby(w.letters):
         exponent = s * len(list(run))
-        name = w.alphabet[i].name
+        name = w.alphabet[i]
         parts.append(name if exponent == 1 else f"{name}^{exponent}")
     return " ".join(parts)
 
 
-def _random_relator(rng: random.Random, gens: tuple[Generator, ...]) -> Word:
+def _random_relator(rng: random.Random, gens: tuple[str, ...]) -> Word:
     if not gens or rng.random() < 0.1:
         return Word(gens, ())  # the identity relator
     letters = []
@@ -57,7 +55,7 @@ def _random_relator(rng: random.Random, gens: tuple[Generator, ...]) -> Word:
 
 
 def _random_presentation(rng: random.Random, k: int) -> Presentation:
-    gens = tuple(Generator(f"g{i + 1}") for i in range(0 if k % 5 == 0 else rng.randrange(1, 6)))
+    gens = tuple(f"g{i + 1}" for i in range(0 if k % 5 == 0 else rng.randrange(1, 6)))
     distinct = [_random_relator(rng, gens) for _ in range(rng.randrange(1, 6))]
     relators = [rng.choice(distinct) for _ in range(rng.randrange(0, 12))]  # shared objects
     label = None if k % 2 else f"random {k}"
@@ -82,7 +80,7 @@ def test_render_presentation_equals_rendering_each_word():
 
 
 def test_render_collapses_runs_and_keeps_mixed_sign_neighbours():
-    gens = tuple(Generator(x) for x in ("a", "b", "c"))
+    gens = ("a", "b", "c")
     p = Presentation(
         gens,
         (
@@ -105,7 +103,7 @@ def test_render_collapses_runs_and_keeps_mixed_sign_neighbours():
 
 
 def _zero_row_presentations():
-    gens = tuple(Generator(f"g{i + 1}") for i in range(4))
+    gens = tuple(f"g{i + 1}" for i in range(4))
     commutators = [
         parse_word(text, gens)
         for text in ("[g1,g2]", "[g1^2,g3]", "[g1 g2,g4^-1]", "[g3,g4]^2", "1")
@@ -125,12 +123,9 @@ def test_abelianization_equals_the_dense_reference():
         m, _ = parse_factorization(chain_relation(g))
         pi1 = total_space_pi1(m, homology_trivial(m))
         for e in (1, 2):
-            fibered = SurfaceFiberedPresentation(g, pi1)
-            presentations.append(fiber_sum_with_trivial_bundle(fibered, e))
+            presentations.append(fiber_sum_with_trivial_bundle(pi1, e))
     for f in (1, 3):
-        presentations.append(
-            fiber_sum_with_trivial_bundle(SurfaceFiberedPresentation(f, surface_group(f)), 2)
-        )
+        presentations.append(fiber_sum_with_trivial_bundle(surface_group(f), 2))
     zero = list(_zero_row_presentations())
     for p in presentations + zero:
         assert abelianization(p) == reference_cokernel(relator_matrix(p))

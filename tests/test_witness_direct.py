@@ -110,6 +110,7 @@ def test_fibersum_rewraps_each_distinct_relator_once(capsys, tmp_path, monkeypat
     monkeypatch.setattr(fibersum, "fiber_sum_with_trivial_bundle", counted)
     assert main(["fibersum", str(pi1), "-e", str(e)]) == 0
     assert "abelianization_check: PASS" in capsys.readouterr().out
-    # One re-bound word per distinct input relator, the base surface
-    # relator and the 4 e g mixed commutators.
-    assert inside == {"Word": distinct + 1 + 4 * e * g, "Presentation": 1}
+    # The fiber surface relator the surface check compares with, one
+    # re-bound word per distinct input relator, the base surface relator
+    # and the 4 e g mixed commutators.
+    assert inside == {"Word": 1 + distinct + 1 + 4 * e * g, "Presentation": 1}

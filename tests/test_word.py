@@ -10,8 +10,8 @@ from oracles import (
     reference_commutator,
     word_from_letters,
 )
+from aspherical.fpgroup import FormatError, parse_presentation
 from aspherical.word import (
-    Generator,
     UnknownGenerator,
     Word,
     WordSyntaxError,
@@ -21,7 +21,7 @@ from aspherical.word import (
     render_word,
 )
 
-AB = (Generator("a1"), Generator("b1"), Generator("a2"), Generator("b2"))
+AB = ("a1", "b1", "a2", "b2")
 
 
 def w(text):
@@ -123,10 +123,22 @@ def test_word_constructor_names_the_first_bad_letter():
 
 
 def test_generator_name_validation():
-    for bad in ("1", "A", "9x", "", "a-b", "a b"):
-        with pytest.raises(ValueError):
-            Generator(bad)
-    assert Generator("a1_x").name == "a1_x"
+    # A gens line takes exactly the names the word grammar reads as one
+    # generator: "1" is the identity, and the others cannot be spelled.
+    for bad in ("1", "A", "9x", "a-b"):
+        with pytest.raises(FormatError) as exc:
+            parse_presentation(f"group x\ngens {bad}\n")
+        assert str(exc.value) == f"line 2: invalid generator name '{bad}'"
+        if bad == "1":
+            assert parse_word(bad, (bad,)) == empty_word((bad,))
+        else:
+            with pytest.raises(ValueError):
+                parse_word(bad, (bad,))
+    assert parse_presentation("group x\ngens \n").generators == ()
+    assert parse_presentation("group x\ngens a b\n").generators == ("a", "b")
+    gens = parse_presentation("group x\ngens a1_x\n").generators
+    assert gens == ("a1_x",)
+    assert parse_word("a1_x", gens) == generator_word(gens, 0)
 
 
 def _random_letters(rng, length):
@@ -204,7 +216,7 @@ def test_free_reduction_confluent():
     rng = random.Random(105)
     for _ in range(100):
         raw = _random_letters(rng, rng.randrange(64))
-        text = " ".join(AB[i].name + ("" if s > 0 else "^-1") for i, s in raw) or "1"
+        text = " ".join(AB[i] + ("" if s > 0 else "^-1") for i, s in raw) or "1"
         expected = parse_word(text, AB).letters
         for _ in range(4):
             assert _reduce_in_random_order(raw, rng) == expected

@@ -274,7 +274,7 @@ def test_contains_summand():
 
 def test_induced_matrix_identity_and_pinch():
     f3 = free_group(3)
-    identity = GroupHom(f3, f3, tuple(parse_word(g.name, f3.generators) for g in f3.generators))
+    identity = GroupHom(f3, f3, tuple(parse_word(g, f3.generators) for g in f3.generators))
     assert induced_matrix(identity) == IntMatrix.identity(3)
     assert induced_matrix(pinch_presentation_map(1, 1)) == IntMatrix.identity(4)
 
