@@ -8,16 +8,29 @@ would read as a swap).  Small entries make such cancelled runs common:
 the sweep holds 300 matrices of up to 12 x 12 with entries in [-3, 3],
 and 11 runs in it cancel.  D, U and V must agree entry for entry.
 
+The sweep runs under both schedules of the two replays: first at the
+package's cutoff, where every sweep matrix is too small to fork, then
+with the cutoff forced to 0, where V is replayed in a forked child for
+every matrix whose two replays both do some work.  A third pass forces
+the cutoff to 0 while a second thread is alive: the one-thread guard
+must keep every replay serial, and warnings are recorded there, since
+Python 3.12+ warns (DeprecationWarning) when a threaded process forks
+but drops that warning silently under `-W error`.
+
 Standard library only, so that it also runs on interpreters without
 pytest:
 
     PYTHONPATH=src python tests/smith_differential.py
 """
 
+import os
 import random
 import sys
+import threading
+import warnings
 
 from oracles import reference_smith_normal_form
+from aspherical import zlinalg
 from aspherical.zlinalg import IntMatrix, smith_normal_form
 
 
@@ -30,17 +43,54 @@ def cancellation_sweep(seed: int = 4503, count: int = 300):
         yield f"sweep {n} {r}x{c}", IntMatrix.from_rows(rows, cols=c)
 
 
-def check_against_reference() -> int:
-    """Compare every matrix of the sweep; return how many were checked."""
-    checked = 0
-    for name, a in cancellation_sweep():
-        got, expected = smith_normal_form(a), reference_smith_normal_form(a)
-        assert (got.d, got.u, got.v) == (expected.d, expected.u, expected.v), name
-        checked += 1
-    return checked
+def check_against_reference(fork_work: int | None = None) -> tuple[int, int]:
+    """Compare every matrix of the sweep, with V's replay forked above
+    `fork_work` (the package's `_FORK_WORK` if None); return how many
+    matrices were checked and how many of them forked."""
+    saved, fork = zlinalg._FORK_WORK, os.fork
+    checked = forks = 0
+
+    def counted_fork():
+        nonlocal forks
+        forks += 1
+        return fork()
+
+    if fork_work is not None:
+        zlinalg._FORK_WORK = fork_work
+    os.fork = counted_fork
+    try:
+        for name, a in cancellation_sweep():
+            got, expected = smith_normal_form(a), reference_smith_normal_form(a)
+            assert (got.d, got.u, got.v) == (expected.d, expected.u, expected.v), name
+            checked += 1
+    finally:
+        zlinalg._FORK_WORK, os.fork = saved, fork
+    return checked, forks
+
+
+def check_with_a_second_thread() -> tuple[int, int, list]:
+    """The sweep at cutoff 0 while another thread waits: the counts of
+    `check_against_reference` and the warnings raised meanwhile."""
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            checked, forks = check_against_reference(0)
+    finally:
+        release.set()
+        other.join()
+    return checked, forks, caught
 
 
 if __name__ == "__main__":
-    checked = check_against_reference()
-    print(f"Python {sys.version.split()[0]}: {checked} matrices, D, U and V "
-          "equal to the forward reference")
+    version = sys.version.split()[0]
+    for label, fork_work in (("serial", None), ("cutoff forced to 0", 0)):
+        checked, forks = check_against_reference(fork_work)
+        print(f"Python {version}, {label}: {checked} matrices, "
+              f"{forks} forked, D, U and V equal to the forward reference")
+    checked, forks, caught = check_with_a_second_thread()
+    assert forks == 0 and not caught, f"{forks} forked, first warning: {caught[:1]}"
+    print(f"Python {version}, cutoff forced to 0 with a second thread: {checked} "
+          "matrices, 0 forked, no warning")

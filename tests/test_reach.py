@@ -14,6 +14,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import random
 import sys
 from pathlib import Path
 
@@ -102,6 +103,11 @@ def _runs(tmp: Path) -> list[tuple[list[str], int]]:
     caveat.write_text("fibration one\nfiber_genus 1\ncycle + a1\n")
     matrix = tmp / "m.txt"
     matrix.write_text("2 4 1\n6 8 3\n")
+    # Dense 40 x 40: both replays are above `zlinalg._FORK_WORK`, so V's
+    # runs in a forked child, where the profiler sees nothing.
+    rng = random.Random(4512)
+    dense = tmp / "dense.txt"
+    dense.write_text("".join(" ".join(str(rng.randint(-9, 9)) for _ in range(40)) + "\n" for _ in range(40)))
     unknown = tmp / "unknown.txt"
     unknown.write_text("fibration x\nfiber_genus 1\ncycle + zz\n")
     syntax = tmp / "syntax.txt"
@@ -123,6 +129,7 @@ def _runs(tmp: Path) -> list[tuple[list[str], int]]:
         (["witness", "Z^4+Z/2+Z/4"], 0),
         (["witness", "Z^3"], 3),
         (["snf", str(matrix)], 0),
+        (["snf", str(dense)], 0),
         (["snf", str(tmp / "missing.txt")], 2),
         (["fibration", str(fib)], 0),
         (["fibration", str(caveat)], 0),

@@ -8,10 +8,21 @@ entry for entry: the `snf` report prints them, and the pinned pivot rule
 makes them part of its output.  The seeded sweep whose clearing runs
 cancel lives in `tests/smith_differential.py`, which also runs without
 pytest.
+
+Above `zlinalg._FORK_WORK`, V is replayed in a forked child while the
+parent replays U.  The cases below run both schedules, with the cutoff
+forced to 0 for the forked one, and check the fallbacks: a failing
+child, no `os.fork`, and a parent that raises after the fork.  No case
+may leave a child behind.
 """
 
 import hashlib
+import marshal
+import os
 import random
+import signal
+import threading
+import time
 
 import pytest
 
@@ -22,6 +33,7 @@ from oracles import (
     sympy_cokernel,
 )
 from smith_differential import check_against_reference
+from aspherical import zlinalg
 from aspherical.zlinalg import IntMatrix, _eliminate, cokernel, smith_normal_form
 
 
@@ -74,6 +86,37 @@ def _shapes(seed):
 
 
 _CASES = list(_shapes(4501))
+_DENSE_40 = IntMatrix.from_rows(_random_rows(random.Random(4510), 40, 40), cols=40)
+# Where this fails, every replay is serial and the fork cases below skip.
+_CAN_FORK = (
+    hasattr(os, "fork")
+    and hasattr(os, "sched_setaffinity")
+    and len(os.sched_getaffinity(0)) > 1
+)
+needs_fork = pytest.mark.skipif(not _CAN_FORK, reason="no fork, or one CPU allowed")
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    if cpus is not None:  # the replay pins the parent while the child runs
+        assert os.sched_getaffinity(0) == cpus
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Count the calls of `os.fork`."""
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
 
 
 @pytest.mark.parametrize("a", [a for _, a in _CASES], ids=[name for name, _ in _CASES])
@@ -85,16 +128,106 @@ def test_smith_form_matches_the_forward_reference_exactly(a):
     assert got.v == expected.v
 
 
+@pytest.mark.parametrize("a", [a for _, a in _CASES], ids=[name for name, _ in _CASES])
+def test_forked_replay_matches_the_forward_reference_exactly(a, monkeypatch):
+    monkeypatch.setattr(zlinalg, "_FORK_WORK", 0)
+    got, expected = smith_normal_form(a), reference_smith_normal_form(a)
+    assert (got.d, got.u, got.v) == (expected.d, expected.u, expected.v)
+
+
 def test_replayed_transforms_match_the_reference_where_runs_cancel():
     # A run of clearing steps whose quotients sum to zero must leave no
-    # operation in the log; 11 runs of the sweep cancel.
-    assert check_against_reference() == 300
+    # operation in the log; 11 runs of the sweep cancel.  No sweep matrix
+    # forks at the package's cutoff; at 0, the 268 whose two replays both
+    # do work do.
+    assert check_against_reference() == (300, 0)
+    assert check_against_reference(0) == (300, 268 if _CAN_FORK else 0)
 
 
 def test_dense_40x40_matches_the_forward_reference():
-    a = IntMatrix.from_rows(_random_rows(random.Random(4510), 40, 40), cols=40)
-    got, expected = smith_normal_form(a), reference_smith_normal_form(a)
+    got, expected = smith_normal_form(_DENSE_40), reference_smith_normal_form(_DENSE_40)
     assert (got.d, got.u, got.v) == (expected.d, expected.u, expected.v)
+
+
+@needs_fork
+def test_only_large_replays_fork(forks):
+    # The benchmark's op_p50 rung, 14 x 14, stays serial; dense 40 x 40 forks.
+    smith_normal_form(IntMatrix.from_rows(_random_rows(random.Random(4511), 14, 14), cols=14))
+    assert len(forks) == 0
+    smith_normal_form(_DENSE_40)
+    assert len(forks) == 1
+
+
+@needs_fork
+def test_failing_child_falls_back_to_the_serial_replay(forks, monkeypatch):
+    # The child writes V with `marshal.dump`; the parent only reads.
+    expected = smith_normal_form(_DENSE_40)
+
+    def fail(*args):
+        raise OSError("no room")
+
+    monkeypatch.setattr(marshal, "dump", fail)
+    assert smith_normal_form(_DENSE_40) == expected
+    assert len(forks) == 2
+
+
+@needs_fork
+def test_a_second_thread_keeps_the_replay_serial(forks):
+    # Forking a threaded process can deadlock the child (and warns on 3.12+).
+    expected, release = smith_normal_form(_DENSE_40), threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert smith_normal_form(_DENSE_40) == expected
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert len(forks) == 1
+
+
+@needs_fork
+def test_a_caller_that_ignores_sigchld_gets_the_forked_result(forks):
+    # The kernel then reaps the child itself, and waitpid finds none.
+    expected = smith_normal_form(_DENSE_40)
+    saved = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        assert smith_normal_form(_DENSE_40) == expected
+    finally:
+        signal.signal(signal.SIGCHLD, saved)
+    assert len(forks) == 2
+
+
+def test_without_fork_the_replay_is_serial(monkeypatch):
+    expected = smith_normal_form(_DENSE_40)
+    monkeypatch.delattr(os, "fork")
+    assert smith_normal_form(_DENSE_40) == expected
+
+
+@needs_fork
+def test_parent_that_raises_kills_and_reaps_the_child(forks, monkeypatch):
+    # The child's replay sleeps far past the test, so a child that was not
+    # killed would be reaped only after it, with exit status 0.
+    parent, replay, statuses = os.getpid(), zlinalg._replay, []
+
+    def replay_or_fail(n, logs):
+        if os.getpid() == parent:
+            raise MemoryError("parent fails")
+        time.sleep(60)
+        return replay(n, logs)
+
+    def recorded_waitpid(pid, options):
+        statuses.append(waitpid(pid, options)[1])
+        return pid, statuses[-1]
+
+    waitpid = os.waitpid
+    monkeypatch.setattr(zlinalg, "_replay", replay_or_fail)
+    monkeypatch.setattr(os, "waitpid", recorded_waitpid)
+    started = time.monotonic()
+    with pytest.raises(MemoryError):
+        smith_normal_form(_DENSE_40)
+    assert len(forks) == 1 and len(statuses) == 1
+    assert os.WIFSIGNALED(statuses[0]) and time.monotonic() - started < 30
 
 
 def _hex_digest(m: IntMatrix) -> str:
