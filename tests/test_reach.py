@@ -1,7 +1,8 @@
 """Every function in `src/aspherical` is reached by the command line, pinned
 by the benchmark tracer, or listed below as kept for tests and oracles.
 
-The check runs each subcommand on small inputs, in text and JSON, with
+The check runs each subcommand on small inputs (and `snf` on one matrix
+large enough for the forked Smith replay), in text and JSON, with
 exit codes 0, 2 and 3, under `sys.setprofile`, and collects the code
 objects entered.  A function that none of these runs enters, that
 `perfbench/tracing.py` does not bind in `WRAPPED`, and that is not on
@@ -107,7 +108,8 @@ def _runs(tmp: Path) -> list[tuple[list[str], int]]:
     # runs in a forked child, where the profiler sees nothing.
     rng = random.Random(4512)
     dense = tmp / "dense.txt"
-    dense.write_text("".join(" ".join(str(rng.randint(-9, 9)) for _ in range(40)) + "\n" for _ in range(40)))
+    rows = [" ".join(str(rng.randint(-9, 9)) for _ in range(40)) for _ in range(40)]
+    dense.write_text("\n".join(rows) + "\n")
     unknown = tmp / "unknown.txt"
     unknown.write_text("fibration x\nfiber_genus 1\ncycle + zz\n")
     syntax = tmp / "syntax.txt"
