@@ -27,10 +27,11 @@ matrices must preserve it) and a surjectivity test for abelianized maps
 that carries U and V forward through every operation, with its own copy
 of the pinned pivot rule, is the reference for the one in `zlinalg`,
 which replays them backward.  The dense cokernel, read off that Smith
-form of the whole matrix, is the reference for the presolved,
-transform-free one in `zlinalg`, and lattice membership read off the
-columns of the Smith transform V is the reference for the cokernel
-comparison in `zlinalg.in_row_lattice`.
+form of the whole matrix, is the reference for the transform-free
+one in `zlinalg`, which splits cyclic summands off sparse rows first,
+and lattice membership read off the columns of the Smith transform V
+is the reference for the cokernel comparison in
+`zlinalg.in_row_lattice`.
 
 The words that `word`, `fpgroup` and `fibersum` now lay out letter by
 letter are also made here in their old folded form: every product goes
@@ -54,6 +55,7 @@ replaced them.
 from __future__ import annotations
 
 import math
+import random
 import re
 from dataclasses import dataclass
 from functools import cache
@@ -370,6 +372,18 @@ def chain_relation(g: int) -> str:
         words.append(f"b{k}^-1 b{k + 1}" if k < g else f"b{g}")
     cycles = "".join(f"cycle + {w}\n" for w in words)
     return f"fibration chain relation genus {g}\nfiber_genus {g}\n" + cycles * (2 * g + 2)
+
+
+def two_term_fibration(g: int, cycles: int, seed: int) -> str:
+    """Fibration file of `cycles` lines `cycle + ai^e bj^f` on the genus-g
+    fiber, with i and j uniform in 1..g and e and f uniform in 2..7: a
+    sparse lattice with no entry +-1."""
+    rng = random.Random(seed)
+    lines = [f"fibration two-term genus {g}", f"fiber_genus {g}"]
+    for _ in range(cycles):
+        i, j, e, f = rng.randint(1, g), rng.randint(1, g), rng.randint(2, 7), rng.randint(2, 7)
+        lines.append(f"cycle + a{i}^{e} b{j}^{f}")
+    return "\n".join(lines) + "\n"
 
 
 def determinant(a: IntMatrix) -> int:

@@ -1,9 +1,12 @@
-"""The presolved cokernel against the dense Smith-form reference and sympy.
+"""The cokernel against the dense Smith-form reference and sympy.
 
-`zlinalg.cokernel` drops zero and repeated rows and eliminates +-1
-pivots before any dense work; these tests feed it matrices rich in
-exactly those rows, the relator lattices the CLI abelianizes, and a
-dense presentation on which the presolve finds little to do.
+`zlinalg.cokernel` splits cyclic summands off sparse rows by Euclidean
+steps, +-1 pivots first, before any dense work; zero, repeated and
+negated rows reduce to zero there.  These tests feed it matrices rich in
+exactly those rows, sparse lattices with no unit entry (the seeded
+sweeps of `tests/cokernel_differential.py` and two-term fibration
+files), the relator lattices the CLI abelianizes, and dense matrices,
+whose core the sparse stage hands to the dense loop.
 """
 
 import math
@@ -12,6 +15,7 @@ import time
 
 import pytest
 
+from cokernel_differential import all_cases, check, shaped_sweep, sparse_sweep
 from oracles import (
     chain_relation,
     determinant,
@@ -19,7 +23,9 @@ from oracles import (
     reference_direct_sum,
     sparse_rows,
     sympy_cokernel,
+    two_term_fibration,
 )
+from aspherical import cli, zlinalg
 from aspherical.fibersum import (
     fiber_sum_with_trivial_bundle,
     witness_presentation,
@@ -72,8 +78,68 @@ def test_presolve_edge_cases():
     # The shorter row is the pivot and leaves 2 * x1 behind, a row with no unit.
     assert cokernel([{0: 1, 1: 2}, {0: 1}], 2) == FgAbelian(0, (2,))
     assert cokernel([{0: 4, 1: 6}, {0: -4, 1: -6}, {2: 1}], 4) == FgAbelian(2, (2,))
+    # Euclidean steps with no unit anywhere: gcd(4, 6) = 2 and gcd(6, 10, 15) = 1.
+    assert cokernel([{0: 4, 1: 6}], 2) == FgAbelian(1, (2,))
+    assert cokernel([{0: 6, 1: 10, 2: 15}], 3) == FgAbelian(2)
+    assert cokernel([{0: 2, 1: 3}, {0: 3, 1: 2}], 2) == FgAbelian(0, (5,))
     with pytest.raises(TypeError):
         cokernel([{0: 1}])
+
+
+def test_differential_sweeps_match_the_dense_reference():
+    # Unit and non-unit sparse sweeps, wide and tall shapes, two-term lattices.
+    assert check(all_cases()) == 300 + 300 + 21 + 18
+
+
+def test_non_unit_sweeps_match_sympy():
+    # Up to 40 x 40: sympy is the independent oracle, not the Smith loop.
+    cases = [*sparse_sweep(4604, 60, 12), *sparse_sweep(4605, 12, 40), *shaped_sweep(4606)]
+    for name, a in cases:
+        assert cokernel(a) == sympy_cokernel(a), name
+
+
+def test_two_term_fibrations_match_the_dense_reference():
+    for g in (8, 10, 12, 14, 16):
+        for seed in (1, 2, 3):
+            m, _ = parse_factorization(two_term_fibration(g, 2 * g + seed * g // 2, seed))
+            _assert_matches_reference(total_space_pi1(m, homology_trivial(m)))
+
+
+def test_two_term_fibration_in_bounded_time(tmp_path, capsys):
+    # 400 cycles at genus 256: no entry is +-1, so an elimination that
+    # pivots on units alone sends the whole 400 x 512 lattice to the dense
+    # loop, 3.3 s here.  The Euclidean stage takes the whole command to
+    # about 0.2 s; the best of three runs must stay under 1 s.
+    path = tmp_path / "two_term.txt"
+    path.write_text(two_term_fibration(256, 400, 1))
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        assert cli.main(["fibration", str(path)]) == 0
+        times.append(time.perf_counter() - start)
+    assert min(times) < 1.0
+    assert "abelianization: Z^" in capsys.readouterr().out
+
+
+def test_only_dense_cores_reach_the_dense_loop(monkeypatch):
+    shapes, eliminate = [], zlinalg._eliminate
+
+    def recorded(d, rows, cols):
+        shapes.append((rows, cols))
+        return eliminate(d, rows, cols)
+
+    monkeypatch.setattr(zlinalg, "_eliminate", recorded)
+    # Sparse lattices with no unit, square and tall, split off completely.
+    m, _ = parse_factorization(two_term_fibration(64, 200, 1))
+    abelianization(total_space_pi1(m, False))
+    rng = random.Random(4607)
+    rows = [{j: rng.choice((2, -3, 5, -7, 9)) for j in rng.sample(range(60), 3)} for _ in range(60)]
+    cokernel(rows, 60)
+    assert shapes == [(0, 0), (0, 0)]
+    # A dense square lattice is handed on once its units are used up.
+    dense = [[rng.randint(-9, 9) for _ in range(30)] for _ in range(30)]
+    cokernel(IntMatrix.from_rows(dense, cols=30))
+    assert shapes[-1][0] == shapes[-1][1] > 20
 
 
 def _assert_matches_reference(p):
@@ -99,7 +165,7 @@ def test_abelianization_of_chain_fibrations_and_fiber_sums_matches_dense_referen
 
 
 def test_dense_random_presentation_matches_sympy_in_bounded_time(tmp_path):
-    # Few unit entries to eliminate, so the presolve hands on an almost
+    # Few unit entries to eliminate, so the sparse stage hands on an almost
     # full 40 x 40 core; eliminating what units there are must not grow
     # the entries enough to slow the Smith form down.  The dense Smith
     # form alone takes 0.10-0.15 s here, so the best of three runs must
@@ -123,8 +189,8 @@ def test_dense_random_presentation_matches_sympy_in_bounded_time(tmp_path):
 
 
 def test_dense_80x80_cokernel_in_bounded_time():
-    # A dense core offers no unit pivots, so all of it goes through the
-    # Smith elimination; carrying U and V through it took 16.7 s here.
+    # Once its units are used up, a dense core goes through the Smith
+    # elimination; carrying U and V through it took 16.7 s here.
     # The cokernel carries no transforms and must stay within 3 s.
     rng = random.Random(4403)
     n = 80
