@@ -41,10 +41,6 @@ _ASPHERICAL_REASONS = {Reason.IS_Z2, Reason.RANK_AT_LEAST_4}
 CLASS_NOTE_Z2 = "A\\B"
 CLASS_NOTE_Z4_Z2 = "B\\A"
 
-# The groups the verdict singles out, built once: `classify` compares
-# every group with them.
-Z2, Z4, Z4_PLUS_Z2 = FgAbelian(2), FgAbelian(4), FgAbelian(4, (2,))
-
 COVERING_NOTE_Z4 = (
     "Corollary 5.4: a two-sheeted cover of a manifold realizing Z^4 + Z/2 "
     "is symplectically aspherical with fundamental group Z^4 and pi_2 != 0."
@@ -70,9 +66,9 @@ class AsphericityVerdict(_Value):
 
 def realizable_dimensions(gamma: FgAbelian) -> frozenset[int]:
     """{2} for Z^2; all even 2n with 4 <= 2n <= rank for rank >= 4; else empty."""
-    if gamma == Z2:
-        return frozenset({2})
     m = gamma.free_rank
+    if m == 2 and not gamma.torsion:
+        return frozenset({2})
     if m >= 4:
         return frozenset(range(4, m + 1, 2))
     return frozenset()
@@ -98,7 +94,7 @@ def hopf_obstruction_dim4(gamma: FgAbelian) -> bool:
 
 def covering_note(gamma: FgAbelian) -> str | None:
     """The double-cover remark attached to Z^4 reports; pure reporting."""
-    if gamma == Z4:
+    if gamma.free_rank == 4 and not gamma.torsion:
         return COVERING_NOTE_Z4
     return None
 
@@ -108,7 +104,7 @@ def classify_reason(gamma: FgAbelian) -> Reason:
     dimension of an abelian group is its free rank (real cohomology is the
     exterior algebra on the free part), so the rank-3 obstruction reads it off."""
     rcd = gamma.free_rank
-    if gamma == Z2:
+    if rcd == 2 and not gamma.torsion:
         return Reason.IS_Z2
     if rcd >= 4:
         return Reason.RANK_AT_LEAST_4
@@ -124,7 +120,7 @@ def classify(gamma: FgAbelian) -> AsphericityVerdict:
     reason = classify_reason(gamma)
     if reason is Reason.IS_Z2:
         class_note = CLASS_NOTE_Z2
-    elif gamma == Z4_PLUS_Z2:
+    elif gamma.free_rank == 4 and gamma.torsion == (2,):
         class_note = CLASS_NOTE_Z4_Z2
     else:
         class_note = None

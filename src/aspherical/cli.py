@@ -9,7 +9,7 @@ aspherical or a failed construction precondition.
 The argv grammar is written once, in the command table `_COMMANDS`:
 each subcommand's function, help line and operand.  Two readers are
 built from it.  The plain forms are read directly, without importing
-argparse: `[--format text|json] [--max-degree N]... SUBCOMMAND OPERAND`,
+argparse: `[--format text|json]... SUBCOMMAND OPERAND`,
 with `homology GROUP [DEGREE]` and `fibersum FILE [-e N | --base-genus N]`.
 Everything else (`-h`, `--opt=value`, abbreviated options, `--`, an
 operand starting with `-`, usage errors) goes to argparse, so help and
@@ -164,7 +164,7 @@ def cmd_classify(args: Args) -> int:
 
 def cmd_homology(args: Args) -> int:
     gamma = parse_group_spec(args.group)
-    degree = args.degree if args.degree is not None else args.max_degree
+    degree = 3 if args.degree is None else args.degree
     if not 0 <= degree <= _MAX_HOMOLOGY_DEGREE:
         raise GroupSpecError(f"max degree must be between 0 and {_MAX_HOMOLOGY_DEGREE}")
     graded = abhomology.group_homology_graded(gamma, max_degree=degree)
@@ -271,15 +271,11 @@ _COMMANDS = {
 def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     """The namespace `_build_parser().parse_args(argv)` returns, for the
     plain forms of the module docstring; None for any other argv."""
-    args = SimpleNamespace(format="text", max_degree=3)
+    args = SimpleNamespace(format="text")
     try:
-        while argv[0] in ("--format", "--max-degree"):
-            option, value, *argv = argv
-            if option == "--format" and value in ("text", "json"):
-                args.format = value
-            elif option == "--max-degree" and value[:1] != "-":
-                args.max_degree = int(value)
-            else:
+        while argv[0] == "--format":
+            _, args.format, *argv = argv
+            if args.format not in ("text", "json"):
                 return None
         command, operand, *rest = argv
         if operand[:1] == "-" or rest and rest[-1][:1] == "-":
@@ -310,12 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "homology, Lefschetz fibration presentations and witnesses.",
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument(
-        "--max-degree",
-        type=int,
-        default=3,
-        help=f"default top homology degree for reports (at most {_MAX_HOMOLOGY_DEGREE})",
-    )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for command, (func, summary, operand, operand_help) in _COMMANDS.items():
         p = sub.add_parser(command, help=summary)
@@ -328,12 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DOMAIN_ERRORS = (
-    fibersum.NotAspherical,
-    fibersum.NotSurfaceFibered,
-    fibersum.RankTooSmall,
-    fibersum.InvalidGenus,
-)
+_DOMAIN_ERRORS = (fibersum.NotSurfaceFibered, fibersum.InvalidGenus)
 
 
 def main(argv: list[str] | None = None) -> int:

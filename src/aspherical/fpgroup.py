@@ -1,14 +1,14 @@
 """Finitely presented groups and presentation-level homomorphisms.
 
 A presentation's generators are a tuple of names, the alphabet of its
-relator words.  Covers the constructors the constructions need: surface
-groups with the standard one-relator presentation, free products,
-quotients by normal closures of word sets, presentations of finitely
-generated abelian groups, and the pinch map collapsing the separating
-circle of a genus sum.  `_read_word_file` is the one reader of both word
-file formats: presentation files here, whose gens line is where names
-are checked against the ident grammar, and fibration files for
-`lefschetz`.
+relator words.  Subcommands build surface groups with the standard
+one-relator presentation, and quotients by normal closures of word sets.
+Free products, abelian group presentations and the genus-sum pinch map
+serve no subcommand: they stay while `perfbench/tracing.py` pins them
+and their one caller, `fibersum.presentation_chain_for`.
+`_read_word_file` is the one reader of both word file formats:
+presentation files here, whose gens line is where names are checked
+against the ident grammar, and fibration files for `lefschetz`.
 
 Homomorphisms carry one image word per source generator.  Validity is
 certified at the abelianized level only (the image of every source

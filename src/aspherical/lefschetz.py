@@ -104,7 +104,7 @@ def monodromy_product(m: MonodromyFactorization) -> IntMatrix:
         work += by_cycle[id(cycle)][2]
     if work > _MAX_TWIST_WORK:
         raise ValueError(f"the twists take {work} row-entry updates, over the limit of {_MAX_TWIST_WORK}")
-    product = IntMatrix.identity(n).to_rows()
+    product = [[0] * r + [1] + [0] * (n - 1 - r) for r in range(n)]
     work, bits = 0, 1
     for t, (cycle, sign) in enumerate(zip(m.cycles, m.signs), 1):
         c, jc, updates, growth = by_cycle[id(cycle)]

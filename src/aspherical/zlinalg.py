@@ -67,12 +67,12 @@ class IntMatrix(_Value):
         for r in rows:
             if len(r) != width:
                 raise DimensionMismatch("ragged rows")
-            flat.extend(int(x) for x in r)
+            flat.extend(map(int, r))
         return cls(len(rows), width, tuple(flat))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return cls(n, n, (((1,) + (0,) * n) * n)[: n * n])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":

@@ -911,12 +911,6 @@ def reference_parser():
         "homology, Lefschetz fibration presentations and witnesses.",
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument(
-        "--max-degree",
-        type=int,
-        default=3,
-        help="default top homology degree for reports (at most 8)",
-    )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("classify", help="decide symplectic asphericity of an abelian group")

@@ -5,9 +5,10 @@ For every argv of a generated corpus the direct reader, `cli._read_argv`,
 must return None, or a namespace whose `vars()` equal those of
 `cli._build_parser().parse_args`, `func` included; it must never accept
 an argv that argparse rejects.  The corpus crosses option prefixes (in
-every order, repeated, malformed, abbreviated, in `=` form) with the
-operands of every subcommand (missing, extra, negative, space-padded,
-`-`, `--`, `""`, `-h`).
+every order, repeated, malformed, abbreviated, in `=` form, and
+`--max-degree`, an option the CLI does not have, which both readers must
+refuse) with the operands of every subcommand (missing, extra, negative,
+space-padded, `-`, `--`, `""`, `-h`).
 
 The argparse parser built from the table must in turn match
 `oracles.reference_parser`, which spells each subcommand out: the same
