@@ -12,6 +12,8 @@ every report derived from it says so.  Fibration files are read by
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .fpgroup import (
     InvalidGenus,
     Presentation,
@@ -21,7 +23,7 @@ from .fpgroup import (
     surface_relator,
 )
 from .limits import _MAX_FIBER_GENUS, _MAX_TWIST_WORK
-from .word import Word, _Value, _quote, exponent_vector
+from .word import Word, _Value, _quote
 from .zlinalg import DimensionMismatch, IntMatrix
 
 
@@ -49,12 +51,6 @@ class MonodromyFactorization(_Value):
         object.__setattr__(self, "signs", signs)
 
 
-def _pairing_row(c: tuple[int, ...]) -> tuple[int, ...]:
-    """The row vector of x -> <x, c>: J c for the block diagonal pairing
-    J = [[0, 1], [-1, 0]] of the a_i, b_i basis."""
-    return tuple(x for i in range(0, len(c), 2) for x in (c[i + 1], -c[i]))
-
-
 def twist_matrix(c: tuple[int, ...], sign: int) -> IntMatrix:
     """Picard-Lefschetz transvection x -> x + sign * <x, c> * c for the
     class with coordinates c in a_1, b_1, ..., a_g, b_g."""
@@ -63,31 +59,28 @@ def twist_matrix(c: tuple[int, ...], sign: int) -> IntMatrix:
     if sign not in (1, -1):
         raise ValueError(f"sign {sign}")
     n = len(c)
-    jc = _pairing_row(c)
-    rows = [
-        [
-            (1 if i == j else 0) + sign * c[i] * jc[j]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return IntMatrix.from_rows(rows, cols=n)
+    # x -> <x, c> is the row J c for the block diagonal pairing J = [[0, 1], [-1, 0]]
+    jc = [x for i in range(0, n, 2) for x in (c[i + 1], -c[i])]
+    entries = ((i == j) + sign * c[i] * jc[j] for i in range(n) for j in range(n))
+    return IntMatrix(n, n, tuple(entries))
 
 
 def monodromy_product(m: MonodromyFactorization) -> IntMatrix:
     """Composite action on H_1 of the fiber, first twist applied first.
 
-    A twist matrix is the identity plus the rank-one sign * c (Jc)^T, so
-    it multiplies the product P as P + sign * c ((Jc)^T P): O(n^2) work
-    per twist, and O(n) per nonzero entry of c and Jc (one row update
-    each) for the few-term classes of vanishing cycles.  Before the first
-    twist, the row-entry updates, 2 * nnz(c) * n a twist, are summed
-    against _MAX_TWIST_WORK.  As the twists run, each is charged its
-    updates times 1 + bits // 1024 against the same limit, where bits
-    bounds P's entry bit length: a twist by c multiplies P's largest entry
-    by at most 1 + |c|_max |c|_1, so adds at most
-    (|c|_max |c|_1).bit_length() bits, and once the bound reaches 1024,
-    every 1024th twist resets it to the bits P has, a scan charged n^2.
+    A cycle's class c is read off its letters once, as the nonzero
+    (index, exponent sum) pairs, and so is the row Jc of x -> <x, c>: the
+    pair (i, x) of c gives (i ^ 1, x) of Jc, negated when i is even.  A
+    twist matrix is the identity plus the rank-one sign * c (Jc)^T, so it
+    multiplies the product P as P + sign * c ((Jc)^T P): one row update
+    per nonzero entry of c and of Jc, O(n) each.  Before the first twist,
+    the row-entry updates, 2 * nnz(c) * n a twist, are summed against
+    _MAX_TWIST_WORK.  As the twists run, each is charged its updates times
+    1 + bits // 1024 against the same limit, where bits bounds P's entry
+    bit length: a twist by c multiplies P's largest entry by at most
+    1 + |c|_max |c|_1, so adds at most (|c|_max |c|_1).bit_length() bits,
+    and once the bound reaches 1024, every 1024th twist resets it to the
+    bits P has, a scan charged n^2.
     """
     n = 2 * m.fiber_genus
     # by cycle object (repeated cycles are shared): the nonzero (index, entry)
@@ -96,11 +89,13 @@ def monodromy_product(m: MonodromyFactorization) -> IntMatrix:
     work = 0
     for cycle in m.cycles:
         if id(cycle) not in by_cycle:
-            c = exponent_vector(cycle)
-            growth = max(map(abs, c), default=0) * sum(map(abs, c))
-            nonzero = [(i, x) for i, x in enumerate(c) if x]
-            jc = [(k, x) for k, x in enumerate(_pairing_row(c)) if x]
-            by_cycle[id(cycle)] = nonzero, jc, 2 * len(nonzero) * n, growth.bit_length()
+            sums: dict[int, int] = {}
+            for i, s in cycle.letters:
+                sums[i] = sums.get(i, 0) + s
+            c = [(i, x) for i, x in sums.items() if x]
+            jc = [(i ^ 1, x if i & 1 else -x) for i, x in c]
+            growth = max((abs(x) for _, x in c), default=0) * sum(abs(x) for _, x in c)
+            by_cycle[id(cycle)] = c, jc, 2 * len(c) * n, growth.bit_length()
         work += by_cycle[id(cycle)][2]
     if work > _MAX_TWIST_WORK:
         raise ValueError(f"the twists take {work} row-entry updates, over the limit of {_MAX_TWIST_WORK}")
@@ -127,7 +122,7 @@ def monodromy_product(m: MonodromyFactorization) -> IntMatrix:
         for i, ci in c:
             scale = sign * ci
             product[i] = [v + scale * p for v, p in zip(product[i], pairing)]
-    return IntMatrix.from_rows(product, cols=n)
+    return IntMatrix(n, n, tuple(chain.from_iterable(product)))
 
 
 def homology_trivial(m: MonodromyFactorization) -> bool:

@@ -1,16 +1,20 @@
 """Every benchmark op's CLI output from this tree against another tree's.
 
 Runs each op of the three benchmark workloads (`perfbench/workloads.py`),
-at seeds 1 and 2, in text and in JSON, through the `aspherical.cli` of
-this tree and through that of OTHER_TREE, and compares the exit code,
-stdout and stderr of each run.  Exits 1 naming the runs that differ, 0
-when none does: a change that keeps the README's byte-identical output
-contract passes against its base commit.
+at seeds 1 and 2, and `fibration` on files of multi-term classes, which
+the benchmark's chain relations lack (the seeded two-term files of
+`tests/oracles.py` at genus 3, 8 and 16, and `tests/data/mixed_twists.txt`),
+in text and in JSON, through the `aspherical.cli` of this tree and through
+that of OTHER_TREE, and compares the exit code, stdout and stderr of each
+run.  Exits 1 naming the runs that differ, 0 when none does: a change that
+keeps the README's byte-identical output contract passes against its base
+commit.
 
 Each tree runs in a child process of its own, which imports that tree's
 package.  Both children take the ops from this tree's `perfbench/`,
 read only, and write the ops' input files with `worker.materialize` into
-one and the same work directory, so that paths agree in messages.
+one and the same work directory, so that paths agree in messages; the
+fibration files are written once, by this tree's oracles, for both.
 
 Standard library only:
 
@@ -33,9 +37,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2)
 FORMATS = ("text", "json")
+FIBRATION_GENERA = (3, 8, 16)
 
 
-def run_tree(tree: Path, workdir: Path) -> list[list]:
+def write_fibrations(directory: Path) -> None:
+    """The two-term fibration files, 3g cycles at genus g and each seed,
+    and the hand-written one, into `directory`."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    from oracles import two_term_fibration
+
+    directory.mkdir()
+    for g in FIBRATION_GENERA:
+        for seed in SEEDS:
+            path = directory / f"two_term_g{g}_seed{seed}.txt"
+            path.write_text(two_term_fibration(g, 3 * g, seed))
+    shutil.copy(ROOT / "tests" / "data" / "mixed_twists.txt", directory)
+
+
+def run_tree(tree: Path, workdir: Path, fibrations: Path) -> list[list]:
     """Each run's name, exit code, stdout digest and stderr, through the
     CLI of `tree`."""
     sys.path[:0] = [str(tree / "src"), str(ROOT / "perfbench")]
@@ -47,22 +66,27 @@ def run_tree(tree: Path, workdir: Path) -> list[list]:
         raise RuntimeError(f"imported {cli.__file__}, not the CLI of {tree}")
     call = worker.make_call(cli)
     rows = []
+
+    def run(name: str, argv: tuple[str, ...]) -> None:
+        for fmt in FORMATS:
+            rc, out, err = call(("--format", fmt, *argv))
+            rows.append([f"{name} {fmt}", rc, hashlib.sha256(out.encode()).hexdigest(), err])
+
     for workload in workloads.WORKLOADS:
         for seed in SEEDS:
             shutil.rmtree(workdir, ignore_errors=True)
             workdir.mkdir()
             ops = workloads.build(workload, seed)
             for k, (op, argv) in enumerate(zip(ops, worker.materialize(ops, workdir, call))):
-                for fmt in FORMATS:
-                    rc, out, err = call(("--format", fmt, *argv))
-                    name = f"{workload} seed {seed} op {k} ({op.label}) {fmt}"
-                    rows.append([name, rc, hashlib.sha256(out.encode()).hexdigest(), err])
+                run(f"{workload} seed {seed} op {k} ({op.label})", argv)
+    for path in sorted(fibrations.iterdir()):
+        run(f"fibration {path.name}", ("fibration", str(path)))
     return rows
 
 
-def _child(tree: Path, workdir: Path) -> dict[str, tuple]:
+def _child(tree: Path, workdir: Path, fibrations: Path) -> dict[str, tuple]:
     done = subprocess.run(
-        [sys.executable, __file__, "--child", str(tree), str(workdir)],
+        [sys.executable, __file__, "--child", str(tree), str(workdir), str(fibrations)],
         capture_output=True, text=True,
     )
     if done.returncode:
@@ -72,7 +96,7 @@ def _child(tree: Path, workdir: Path) -> dict[str, tuple]:
 
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--child"]:
-        for row in run_tree(Path(argv[1]), Path(argv[2])):
+        for row in run_tree(*map(Path, argv[1:4])):
             print(json.dumps(row))
         return 0
     if len(argv) != 1:
@@ -83,7 +107,11 @@ def main(argv: list[str]) -> int:
         print(f"error: no aspherical package under {other / 'src'}", file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as scratch:
-        ours, theirs = (_child(tree, Path(scratch) / "work") for tree in (ROOT, other))
+        fibrations = Path(scratch) / "fibrations"
+        write_fibrations(fibrations)
+        ours, theirs = (
+            _child(tree, Path(scratch) / "work", fibrations) for tree in (ROOT, other)
+        )
     differ = []
     for name in sorted(ours.keys() | theirs.keys()):
         a, b = ours.get(name), theirs.get(name)

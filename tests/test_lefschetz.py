@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from oracles import (
     multiply,
     symplectic_gram,
     transpose,
+    two_term_fibration,
     word_from_letters,
 )
 from aspherical import lefschetz
@@ -137,6 +139,29 @@ def test_monodromy_product_matches_dense_twist_fold():
             trivial = dense == IntMatrix.identity(2 * g)
             assert homology_trivial(m) == trivial
             assert ("caveat" not in total_space_pi1(m, homology_trivial(m)).label) == trivial
+
+
+MIXED_TWISTS = Path(__file__).with_name("data") / "mixed_twists.txt"
+
+
+# The seeded two-term files at genus g, and the hand-written file (g None).
+@pytest.mark.parametrize(
+    "g, seed", [(g, seed) for g in (3, 8, 16) for seed in (1, 2)] + [(None, None)]
+)
+def test_monodromy_product_matches_dense_twist_fold_on_files(g, seed):
+    text = MIXED_TWISTS.read_text() if g is None else two_term_fibration(g, 3 * g, seed)
+    m, _ = parse_factorization(text)
+    n = 2 * m.fiber_genus
+    dense = IntMatrix.identity(n)
+    for c, s in zip(m.cycles, m.signs):
+        dense = twist_matrix(exponent_vector(c), s).mul(dense)
+    assert monodromy_product(m) == dense
+    if g is None:  # - twists, a null-homologous cycle, classes on non-adjacent pairs
+        classes = [exponent_vector(c) for c in m.cycles]
+        pairs = [{i // 2 for i, x in enumerate(v) if x} for v in classes]
+        assert -1 in m.signs and (0,) * n in classes
+        assert any(len(p) == 2 and max(p) - min(p) > 1 for p in pairs)
+        assert dense == IntMatrix.identity(n)  # two pairs (T_c T_d)^6 with <c, d> = 1
 
 
 def test_monodromy_order_convention():
@@ -302,6 +327,25 @@ def test_parse_factorization_errors(text):
     assert str(exc.value) == _FACTORIZATION_ERRORS[text]
 
 
+class _CountingCycle:
+    """A cycle word that records each read of its letters, from which
+    `monodromy_product` takes the cycle's class."""
+
+    def __init__(self, word, reads):
+        self.alphabet, self._word, self._reads = word.alphabet, word, reads
+
+    @property
+    def letters(self):
+        self._reads.append(self._word)
+        return self._word.letters
+
+
+def _counting(m, reads):
+    """m with one counting stand-in for each distinct cycle object."""
+    stand_ins = {id(c): _CountingCycle(c, reads) for c in m.cycles}
+    return MonodromyFactorization(m.fiber_genus, tuple(stand_ins[id(c)] for c in m.cycles), m.signs)
+
+
 def test_fibration_builds_no_throwaway_presentation_and_pairs_each_cycle_once(
     monkeypatch, capsys, tmp_path
 ):
@@ -312,29 +356,34 @@ def test_fibration_builds_no_throwaway_presentation_and_pairs_each_cycle_once(
     distinct = len({id(c) for c in m.cycles})
     assert (len(m.cycles), distinct) == (182, 13)
 
-    counts = {"Presentation": 0, "_pairing_row": 0}
-    init, pairing_row = Presentation.__init__, lefschetz._pairing_row
+    presentations, reads = [], []
+    init = Presentation.__init__
 
     def counting_init(self, *args, **kwargs):
-        counts["Presentation"] += 1
+        presentations.append(self)
         init(self, *args, **kwargs)
 
-    def counting_pairing_row(c):
-        counts["_pairing_row"] += 1
-        return pairing_row(c)
-
     monkeypatch.setattr(Presentation, "__init__", counting_init)
-    monkeypatch.setattr(lefschetz, "_pairing_row", counting_pairing_row)
-    MonodromyFactorization(m.fiber_genus, m.cycles, m.signs)
-    assert counts == {"Presentation": 0, "_pairing_row": 0}
-    assert homology_trivial(m)
-    assert counts == {"Presentation": 0, "_pairing_row": distinct}
+    counted = _counting(m, reads)
+    assert (presentations, reads) == ([], [])
+    assert homology_trivial(counted)
+    assert presentations == []
+    assert len(reads) == len({id(w) for w in reads}) == distinct
 
     # The command: the surface presentation and its quotient, one
-    # monodromy fold.
-    counts.update(Presentation=0, _pairing_row=0)
+    # monodromy fold, each distinct cycle's letters read once in it.
+    folds = []
+    product = lefschetz.monodromy_product
+
+    def counting_product(m):
+        folds.append(m)
+        return product(_counting(m, reads))
+
+    monkeypatch.setattr(lefschetz, "monodromy_product", counting_product)
+    reads.clear()
     fib = tmp_path / "chain6.txt"
     fib.write_text(text)
     assert main(["fibration", str(fib)]) == 0
     assert "homology_trivial: true" in capsys.readouterr().out
-    assert counts == {"Presentation": 2, "_pairing_row": distinct}
+    assert (len(presentations), len(folds)) == (2, 1)
+    assert len(reads) == len({id(w) for w in reads}) == distinct
