@@ -49,6 +49,8 @@ def invariant_factor_counts(m: int, t: int, top: int) -> list[int]:
     >>> sum(invariant_factor_counts(0, 11, 8))
     52833
     """
+    if not t:  # then P_n = C(m, n), and every c_n is 0
+        return [0] * (top + 1)
     inverse = [1]  # inverse[j] = C(t + j - 1, j), the x^j coefficient of 1/(1 - x)^t
     for j in range(1, top + 1):
         inverse.append(inverse[-1] * (t + j - 1) // j)
@@ -133,8 +135,8 @@ def kunneth(ha: tuple[FgAbelian, ...], hb: tuple[FgAbelian, ...], n: int) -> FgA
 
 def group_homology_graded(g: FgAbelian, max_degree: int) -> tuple[FgAbelian, ...]:
     """H_0..H_max of g, indexed by degree: Z^C(m,k) for the free part,
-    then one prefix sum over the degrees per invariant factor (see the
-    module docstring).
+    then, unless g is free, one prefix sum over the degrees per invariant
+    factor (see the module docstring).
 
     Rejected up front when the invariant factors through max_degree
     number more than _MAX_HOMOLOGY_SUMMANDS.
@@ -146,6 +148,8 @@ def group_homology_graded(g: FgAbelian, max_degree: int) -> tuple[FgAbelian, ...
             f"over the limit of {_MAX_HOMOLOGY_SUMMANDS}"
         )
     free = [math.comb(g.free_rank, k) for k in range(max_degree + 1)]
+    if not g.torsion:
+        return tuple(map(FgAbelian, free))
     # fresh[n] = C(m, n-1) + C(m, n-3) + ..., the new copies of Z/d in degree n
     fresh = [0] + [sum(free[n::-2]) for n in range(max_degree)]
     columns: dict[int, list[int]] = {}  # chain member -> its count in each degree

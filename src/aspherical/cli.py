@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -111,31 +110,32 @@ def _read_input(name: str) -> str:
     return path.read_text()
 
 
-_GRADED_KEY = re.compile(r"H_\d+\Z")
-
-
 def _emit(args: Args, payload: dict) -> None:
-    """Print the subcommand's report: JSON after the schema_version and
-    command header, or one text line (or block) per key."""
+    """Format the subcommand's report whole, then write it to stdout in
+    one call: JSON after the schema_version and command header, or one
+    text line (or block) per key.  `writelines` takes the pieces as they
+    are, so a long block such as U, V or a presentation is not copied
+    into a joined report."""
     if args.format == "json":
         import json  # here, so that a text report does not pay for importing it
         header = {"schema_version": SCHEMA_VERSION, "command": args.subcommand}
-        print(json.dumps(header | payload, indent=2))
+        sys.stdout.writelines((json.dumps(header | payload, indent=2), "\n"))
         return
+    out = []
     for key, value in payload.items():
-        if _GRADED_KEY.match(key):
-            print(f"{key} = {value}")
+        if key[:2] == "H_" and key[2:].isdecimal():  # a graded line: H_0, H_1, ...
+            out.append(f"{key} = {value}\n")
         elif isinstance(value, bool):
-            print(f"{key}: {'true' if value else 'false'}")
+            out.append(f"{key}: {'true' if value else 'false'}\n")
         elif isinstance(value, (list, tuple)):
-            print(f"{key}: {'; '.join(str(v) for v in value) if value else '-'}")
+            out.append(f"{key}: {'; '.join(str(v) for v in value) if value else '-'}\n")
         elif value is None:
-            print(f"{key}: -")
+            out.append(f"{key}: -\n")
         elif isinstance(value, str) and "\n" in value:
-            print(f"{key}:")
-            print(value.rstrip("\n"))
+            out += (f"{key}:\n", value.rstrip("\n"), "\n")
         else:
-            print(f"{key}: {value}")
+            out.append(f"{key}: {value}\n")
+    sys.stdout.writelines(out)
 
 
 def cmd_classify(args: Args) -> int:
@@ -239,9 +239,13 @@ def cmd_snf(args: Args) -> int:
 def cmd_fibersum(args: Args) -> int:
     p = parse_presentation(_read_input(args.file))
     result = fibersum.fiber_sum_with_trivial_bundle(p, args.base_genus)
-    ab = zlinalg.abelianization(result)
-    ab_p = zlinalg.abelianization(p)  # a free summand leaves the invariant factors as they are
+    rows_p, rows = zlinalg.relator_rows(p), zlinalg.relator_rows(result)
+    ab_p = zlinalg.cokernel(rows_p, len(p.generators))
+    # A free summand leaves ab_p's invariant factors as they are.  Rows equal
+    # to p's hold none of the 2e base columns, which stay free: ab is then
+    # exactly ab_p plus Z^(2e), with no second elimination.
     expected = FgAbelian(ab_p.free_rank + 2 * args.base_genus, ab_p.torsion)
+    ab = expected if rows == rows_p else zlinalg.cokernel(rows, len(result.generators))
     _emit(args, {
         "fiber_genus": len(p.generators) // 2,
         "base_genus": args.base_genus,

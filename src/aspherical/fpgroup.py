@@ -28,11 +28,11 @@ from .word import (
     _Value,
     _free_reduce,
     _inv,
+    _parse_word,
     _quote,
     _render_letters,
     cyclic_reduce,
     exponent_vector,
-    parse_word,
     render_word,
 )
 from .zlinalg import FgAbelian
@@ -266,10 +266,11 @@ def _read_word_file(
 ) -> tuple[str | None, tuple[str, ...], list[Word], list]:
     """The reader of presentation and fibration files: blank lines aside,
     the `header` line once (its rest is the label), the `space` line once
-    (`alphabet_of` reads its rest), then `item` lines (`split` reads each
-    rest as a tag and a word text; a distinct word text is parsed and
-    cyclically reduced once).  Returns the label, alphabet, words and tags;
-    a ValueError on a line becomes a FormatError naming the line."""
+    (`alphabet_of` reads its rest; the names are indexed once), then
+    `item` lines (`split` reads each rest as a tag and a word text; a
+    distinct word text is parsed and cyclically reduced once).  Returns
+    the label, alphabet, words and tags; a ValueError on a line becomes a
+    FormatError naming the line."""
     label, alphabet, seen_header = None, None, False
     words, tags, parsed = [], [], {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -279,13 +280,14 @@ def _read_word_file(
             if key == item and alphabet is not None:
                 tag, word_text = split(rest)
                 if word_text not in parsed:
-                    parsed[word_text] = cyclic_reduce(parse_word(word_text, alphabet))
+                    parsed[word_text] = cyclic_reduce(_parse_word(word_text, alphabet, index))
                 words.append(parsed[word_text])
                 tags.append(tag)
             elif key == header and not seen_header:
                 seen_header, label = True, rest or None
             elif key == space and seen_header and alphabet is None:
                 alphabet = alphabet_of(rest)
+                index = {name: i for i, name in enumerate(alphabet)}
             elif key == item:
                 raise ValueError(f"{item} before {space}")
             elif key == space and not seen_header:

@@ -201,10 +201,10 @@ def _quote(value: object) -> str:
 
 
 class _Parser:
-    def __init__(self, text: str, alphabet: Sequence[str]):
+    def __init__(self, text: str, index: Mapping[str, int]):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.index = {name: i for i, name in enumerate(alphabet)}
+        self.index = index  # generator name -> its position in the alphabet
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -286,7 +286,14 @@ def _power(letters: list[tuple[int, int]], n: int) -> list[tuple[int, int]]:
 def parse_word(text: str, alphabet: Sequence[str]) -> Word:
     """Parse `text` over `alphabet`, a sequence of generator names; see the
     module docstring for the grammar."""
-    parser = _Parser(text, alphabet)
+    alphabet = tuple(alphabet)
+    return _parse_word(text, alphabet, {name: i for i, name in enumerate(alphabet)})
+
+
+def _parse_word(text: str, alphabet: tuple[str, ...], index: Mapping[str, int]) -> Word:
+    """`parse_word`, given the alphabet's name index: a file's reader
+    builds it once for all its words."""
+    parser = _Parser(text, index)
     letters = parser.parse_word(closers=("end",))
     parser.take("end")
-    return Word(tuple(alphabet), _free_reduce(letters))
+    return Word(alphabet, _free_reduce(letters))

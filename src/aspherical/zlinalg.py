@@ -419,8 +419,15 @@ def _chain_from_counts(counts: Mapping[int, int]) -> tuple[int, ...]:
     base element b divides each order to b's exponent times a fixed
     multiple, so b plays the part of a prime: the largest factor takes
     each b to its largest exponent, the next to its second largest, and
-    so on.  Runs of equal factors are laid out as one block.
+    so on.  Runs of equal factors are laid out as one block.  Orders that
+    already form a divisor chain are their own invariant factors.
     """
+    chain: list[int] = []
+    orders = sorted(d for d, m in counts.items() if m and d > 1)
+    if all(b % a == 0 for a, b in zip(orders, orders[1:])):
+        for d in orders:
+            chain += [d] * counts[d]
+        return tuple(chain)
     columns = []
     cuts = set()
     for b in _coprime_base(counts):
@@ -432,7 +439,6 @@ def _chain_from_counts(counts: Mapping[int, int]) -> tuple[int, ...]:
             bounds.append((end, e))
         cuts.update(stop for stop, _ in bounds)
         columns.append((b, bounds))
-    chain: list[int] = []
     top = 0
     for stop in sorted(cuts):
         d = 1
@@ -628,12 +634,17 @@ def _pivot_key(row: Mapping[int, int], i: int) -> tuple[int, int, int]:
 
 
 def abelianization(p: "Presentation") -> FgAbelian:
-    """Cokernel of the relator exponent matrix, its rows read off the
-    relator words as sparse exponent sums.  A relator object that repeats
-    gives one row: a repeated generator leaves a lattice unchanged.  Zero
-    rows, such as those of commutators, are dropped as they are built:
-    `_split_sparse` drops them too, but more slowly, and they are 681 of
-    the 775 rows of `witness Z^30+Z/2+Z/4`."""
+    """Cokernel of the relator exponent matrix, its rows from `relator_rows`."""
+    return cokernel(relator_rows(p), len(p.generators))
+
+
+def relator_rows(p: "Presentation") -> list[dict[int, int]]:
+    """The relator words' exponent sums as sparse rows, in relator order.
+    A relator object that repeats gives one row: a repeated generator
+    leaves a lattice unchanged.  Zero rows, such as those of commutators,
+    are dropped as they are built: `_split_sparse` drops them too, but
+    more slowly, and they are 681 of the 775 rows of `witness
+    Z^30+Z/2+Z/4`."""
     rows = []
     for r in {id(r): r for r in p.relators}.values():
         row: dict[int, int] = {}
@@ -641,7 +652,7 @@ def abelianization(p: "Presentation") -> FgAbelian:
             row[i] = row.get(i, 0) + s
         if any(row.values()):
             rows.append(row)
-    return cokernel(rows, len(p.generators))
+    return rows
 
 
 def relator_matrix(p: "Presentation") -> IntMatrix:

@@ -20,6 +20,7 @@ from oracles import (
 from reader_differential import check_parser_against_reference, check_reader_against_argparse
 from aspherical import abhomology, asphericity, cli, fibersum, lefschetz, zlinalg
 from aspherical.cli import GroupSpecError, main, parse_group_spec
+from aspherical.fpgroup import Presentation
 from aspherical.limits import (
     _MAX_BASE_GENUS,
     _MAX_FIBER_GENUS,
@@ -33,7 +34,7 @@ from aspherical.limits import (
     _MAX_TWIST_WORK,
     _MAX_WITNESS_GENERATORS,
 )
-from aspherical.word import exponent_vector
+from aspherical.word import exponent_vector, parse_word
 from aspherical.zlinalg import FgAbelian, IntMatrix
 
 
@@ -544,6 +545,106 @@ def test_fibersum_of_a_dense_60_generator_file_in_bounded_time(capsys, tmp_path)
     assert min(times) < 1.5
     assert code == 0
     assert "abelianization_check: PASS" in out
+
+
+def _counted_cokernels(monkeypatch):
+    calls = []
+    cokernel = zlinalg.cokernel
+
+    def counted(rows, cols=None):
+        calls.append(cols)
+        return cokernel(rows, cols)
+
+    monkeypatch.setattr(zlinalg, "cokernel", counted)
+    return calls
+
+
+def test_fibersum_eliminates_once_when_the_rows_are_the_inputs(capsys, tmp_path, monkeypatch):
+    fibration = tmp_path / "fib.txt"
+    fibration.write_text(chain_relation(2))
+    _, out, _ = run(capsys, "--format", "json", "fibration", str(fibration))
+    files = {
+        "pi1.txt": json.loads(out)["pi1_presentation"],
+        "torsion.txt": _surface_file(2, ["a1^6", "b1^4", "a2^3", "a1^6"]),
+        "surface.txt": _surface_file(3),
+    }
+    calls = _counted_cokernels(monkeypatch)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+        for e in (1, 3):
+            calls.clear()
+            code, out, _ = run(capsys, "fibersum", str(tmp_path / name), "-e", str(e))
+            assert code == 0
+            assert "abelianization_check: PASS" in out
+            assert len(calls) == 1, (name, e)
+
+
+@pytest.mark.parametrize("index, word, honest", [
+    (-1, "a1^2 x1^3", "Z^3"),  # the input's relator a1^2 gains a base column
+    (1, "x1^2", "Z^2 + Z/2 + Z/2"),  # the base surface relator: a row the input lacks
+])
+def test_fibersum_with_a_mutated_relator_falls_back_and_fails(
+    capsys, tmp_path, monkeypatch, index, word, honest
+):
+    path = tmp_path / "x.txt"
+    path.write_text("group x\ngens a1 b1\nrel [a1,b1]\nrel a1^2\n")
+    build = fibersum.fiber_sum_with_trivial_bundle
+
+    def mutated_sum(p, e):
+        result = build(p, e)
+        relators = list(result.relators)
+        relators[index] = parse_word(word, result.generators)
+        return Presentation(result.generators, tuple(relators))
+
+    monkeypatch.setattr(fibersum, "fiber_sum_with_trivial_bundle", mutated_sum)
+    calls = _counted_cokernels(monkeypatch)
+    code, out, _ = run(capsys, "fibersum", str(path), "-e", "1")
+    assert code == 0
+    assert len(calls) == 2
+    assert f"abelianization: {honest}\n" in out
+    assert "expected_abelianization: Z^3 + Z/2\n" in out
+    assert "abelianization_check: FAIL\n" in out
+
+
+class _CountingStdout:
+    """A stdout that keeps what is written to it and counts the calls."""
+
+    def __init__(self):
+        self.calls, self.pieces = 0, []
+
+    def write(self, text):
+        self.calls += 1
+        self.pieces.append(text)
+        return len(text)
+
+    def writelines(self, lines):
+        self.calls += 1
+        self.pieces.extend(lines)
+
+
+def test_each_report_is_written_in_one_call(capsys, tmp_path, monkeypatch):
+    (tmp_path / "m.txt").write_text(_MATRIX_4X4)
+    (tmp_path / "fib.txt").write_text(chain_relation(1))
+    _, out, _ = run(capsys, "--format", "json", "fibration", str(tmp_path / "fib.txt"))
+    (tmp_path / "pi1.txt").write_text(json.loads(out)["pi1_presentation"])
+    for argv, writes in (
+        (("classify", "Z^4+Z/2"), 1),
+        (("classify", "Z^3"), 1),
+        (("homology", "Z^3+Z/2+Z/4", "8"), 1),
+        (("witness", "Z^4+Z/2"), 1),
+        (("witness", "Z^3"), 1),
+        (("snf", str(tmp_path / "m.txt")), 1),
+        (("fibration", str(tmp_path / "fib.txt")), 1),
+        (("fibersum", str(tmp_path / "pi1.txt"), "-e", "2"), 1),
+        (("classify", "Z/0"), 0),  # a usage error writes nothing to stdout
+    ):
+        for fmt in ("text", "json"):
+            expected = run(capsys, "--format", fmt, *argv)
+            stdout = _CountingStdout()
+            with monkeypatch.context() as m:
+                m.setattr(sys, "stdout", stdout)
+                code = main(["--format", fmt, *argv])
+            assert (code, "".join(stdout.pieces), stdout.calls) == (*expected[:2], writes), (argv, fmt)
 
 
 def test_usage_error_exits_2():

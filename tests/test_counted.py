@@ -10,6 +10,7 @@ primes, without factoring them.
 
 import math
 import random
+from collections import Counter
 
 from oracles import (
     reference_contains_summand,
@@ -77,6 +78,23 @@ def test_from_cyclic_orders_random_sweep():
                     math.prod(rng.choice(primes) ** rng.randrange(1, 4) for _ in range(rng.randrange(1, 4)))
                 )
         assert FgAbelian.from_cyclic_orders(orders) == reference_from_cyclic_orders(orders), orders
+
+
+def test_divisor_chains_in_any_order_match_reference():
+    # Orders that already form a divisor chain, listed in any order, repeated,
+    # with Z/1 and zero counts mixed in, skip the coprime base.
+    rng = random.Random(20261020)
+    for _ in range(400):
+        orders, d = [], 1
+        for _ in range(rng.randrange(1, 6)):
+            d *= rng.choice((1, 2, 3, 5, 6, 1009, 10007))
+            orders += [d] * rng.randrange(1, 3)
+        rng.shuffle(orders)
+        counts = Counter(orders)
+        counts.setdefault(rng.randrange(2, 50), 0)
+        rank = rng.randrange(3)
+        expected = reference_from_cyclic_orders([0] * rank + list(counts.elements()))
+        assert FgAbelian.from_counts(rank, counts) == expected, counts
 
 
 def test_large_shared_prime_factors():
