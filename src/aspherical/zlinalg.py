@@ -14,10 +14,10 @@ log holds one summed operation per line and run of commuting clearing
 steps, so a line cleared over several passes costs one operation.  Above
 a measured size, where `os.fork` exists, two CPUs are allowed and the
 process has one thread, V is replayed in a forked child while the parent
-replays U: the same integers, and a threaded caller stays serial.  A
-cokernel carries no transforms: its rows are kept sparse, Euclidean
-steps split cyclic summands off them while they stay sparse, and only
-the dense core left goes through the loop.  Relator lattices are
+replays U: the same integers, and a threaded caller stays serial.  That
+loop serves `smith_normal_form` alone.  A cokernel carries no transforms
+and hands no dense core on: its rows are kept sparse, and Euclidean
+steps split every cyclic summand off them.  Relator lattices are
 abelianized that way straight from the relator words.
 """
 
@@ -536,9 +536,8 @@ def cokernel(a: IntMatrix | Iterable[Mapping[int, int]], cols: int | None = None
     """Z^cols modulo the row lattice of `a`, in invariant-factor form.
 
     `a` is a matrix, or its rows as sparse {column: entry} maps over
-    `cols` columns.  `_split_sparse` splits cyclic summands off the rows;
-    the dense core it leaves goes through `smith_normal_form`'s loop
-    alone, whose pivots are the diagonal: no U or V is built.
+    `cols` columns.  `_split_sparse` splits every cyclic summand off the
+    rows: no U, V or dense core, and `_eliminate` serves `snf` alone.
 
     >>> print(cokernel([{0: 2}, {0: -2}, {}, {1: 1, 2: 3}], cols=3).render())
     Z + Z/2
@@ -547,73 +546,58 @@ def cokernel(a: IntMatrix | Iterable[Mapping[int, int]], cols: int | None = None
         cols, a = a.cols, [dict(enumerate(a.row(i))) for i in range(a.rows)]
     elif cols is None:
         raise TypeError("sparse rows need a column count")
-    orders, rows = _split_sparse(a)
-    touched = sorted({j for row in rows for j in row})
-    core = [[row.get(j, 0) for j in touched] for row in rows]
-    orders += (core[k][k] for k in range(len(_eliminate(core, len(core), len(touched)))))
+    orders = _split_sparse(a)
     return FgAbelian.from_counts(cols - len(orders), Counter(orders))
 
 
-# A pivot other than +-1 runs unless the live rows, no more than the
-# columns not yet split off, fill over this share of those cells; the dense
-# loop takes the rest.  Tall lattices stay sparse: their surplus rows cost
-# the dense loop a pass per pivot.  CPU s for n x n at density d, entries
-# +-[2, 9], at share 0 (dense loop alone) / 0.25 / 0.5 / 1 (no dense loop),
-# 2 shared vCPUs, Python 3.11.7:
-# n = 60, d = 0.05: .029/.022/.016/.014, d = 0.2: .117/.125/.112/.140,
-# d = 1: .228/.236/.234/.279; n = 100, d = 0.05: .298/.288/.219/.177,
-# d = 0.2: .992/1.035/.844/1.085, d = 1: 2.500/2.351/1.918/1.839.
-_SPARSE_FILL = 0.5
-
-
-def _split_sparse(rows: Iterable[Mapping[int, int]]) -> tuple[list[int], list[dict[int, int]]]:
+def _split_sparse(rows: Iterable[Mapping[int, int]]) -> list[int]:
     """Sparse Euclidean elimination (after Havas, Holt, Rees, Linear Algebra
-    Appl. 192, 1993): the orders of the cyclic summands split off, and the
-    rows left.  The row whose smallest |entry| is least (the shorter on
-    ties) pivots on it, in the column the fewest rows hold.  Row operations
-    reduce that column to nearest remainders; once no other row holds it,
-    column operations, touching the pivot row alone, reduce the row.  A
-    row left as the pivot alone splits off Z/|pivot| with its column, so a
-    +-1 pivot does at once; otherwise a smaller remainder pivots next.  A
-    repeated or negated row reduces to zero against its twin."""
-    live = {i: row for i, r in enumerate(rows) if (row := {j: x for j, x in r.items() if x})}
-    holders: dict[int, set[int]] = {}  # column not split off -> rows with an entry there
-    for i, row in live.items():
-        for j in row:
+    Appl. 192, 1993) to the last row: the orders of the cyclic summands
+    split off, one per column.  The row whose smallest |entry| has the
+    fewest bits (the shorter on ties) pivots on an entry of that size, in
+    the column the fewest rows hold (the smaller entry on ties).  Row
+    operations reduce that column to nearest remainders; once no other row
+    holds it, column operations, touching the pivot row alone, reduce the
+    row.  A row left as the pivot alone splits off Z/|pivot| with its
+    column, so a +-1 pivot does at once; otherwise a remainder, a bit
+    shorter at least, pivots next.  A repeated or negated row reduces to
+    zero against its twin.  No dense core is handed on."""
+    table = [{j: x for j, x in r.items() if x} for r in rows]
+    keys = {i: _pivot_key(row, i) for i, row in enumerate(table) if row}  # of the live rows
+    holders: dict[int, set[int]] = {}  # column not split off -> live rows with an entry there
+    for i in keys:
+        for j in table[i]:
             holders.setdefault(j, set()).add(i)
-    heap = [_pivot_key(row, i) for i, row in live.items()]  # stale keys are skipped
+    heap = list(keys.values())  # later also stale keys, skipped when popped
     heapq.heapify(heap)
-    filled = sum(map(len, live.values()))
     orders = []
     while heap:
         key = heapq.heappop(heap)
-        m, _, p = key
-        prow = live.get(p)
-        if prow is None or _pivot_key(prow, p) != key:
+        b, _, p = key
+        if keys.get(p) != key:
             continue
-        if m > 1 and len(live) <= len(holders) and filled > _SPARSE_FILL * len(live) * len(holders):
-            break
-        j = min((k for k, x in prow.items() if abs(x) == m), key=lambda k: (len(holders[k]), k))
+        prow = table[p]
+        j = min((k for k, x in prow.items() if abs(x).bit_length() == b),
+                key=lambda k: (len(holders[k]), abs(prow[k]), k))
         x = prow[j]
         for i in [i for i in holders[j] if i != p]:
-            row = live[i]
-            filled -= len(row)
-            q = (2 * row[j] + x) // (2 * x)  # nonzero: |row[j]| >= m
+            row = table[i]
+            q = (2 * row[j] + x) // (2 * x)  # nonzero: row[j] has b bits at least
             for k, y in prow.items():
-                if z := row.get(k, 0) - q * y:
-                    if k not in row:
-                        holders[k].add(i)
+                if (z := row.get(k)) is None:
+                    row[k] = -q * y
+                    holders[k].add(i)
+                elif z := z - q * y:
                     row[k] = z
                 else:
                     del row[k]
                     holders[k].discard(i)
-            filled += len(row)
             if row:
-                heapq.heappush(heap, _pivot_key(row, i))
+                keys[i] = _pivot_key(row, i)
+                heapq.heappush(heap, keys[i])
             else:
-                del live[i]
+                del keys[i]
         if len(holders[j]) == 1:
-            filled -= len(prow)
             for k in [k for k in prow if k != j]:
                 if z := prow[k] - (2 * prow[k] + x) // (2 * x) * x:
                     prow[k] = z
@@ -622,15 +606,15 @@ def _split_sparse(rows: Iterable[Mapping[int, int]]) -> tuple[list[int], list[di
                     holders[k].discard(p)
             if len(prow) == 1:
                 orders.append(abs(x))
-                del live[p], holders[j]
+                del keys[p], holders[j]
                 continue
-            filled += len(prow)
-        heapq.heappush(heap, _pivot_key(prow, p))
-    return orders, list(live.values())
+        keys[p] = _pivot_key(prow, p)
+        heapq.heappush(heap, keys[p])
+    return orders
 
 
 def _pivot_key(row: Mapping[int, int], i: int) -> tuple[int, int, int]:
-    return min(map(abs, row.values())), len(row), i
+    return min(map(abs, row.values())).bit_length(), len(row), i
 
 
 def abelianization(p: "Presentation") -> FgAbelian:

@@ -1,14 +1,16 @@
 """The cokernel that `zlinalg.cokernel` reads off its sparse Euclidean stage
-and the dense loop, against `oracles.reference_cokernel`, which reads it
-off the Smith form of the whole matrix, on seeded sweeps.
+alone, which hands no dense core on, against `oracles.reference_cokernel`,
+which reads it off the Smith form of the whole matrix, on seeded sweeps.
 
 The sweeps hold what the sparse stage must handle: rows with 1-3
 nonzero entries, with and without +-1 among them, zero rows and rows
 repeated or negated (no pass drops them first: each must reduce to zero
-against its twin), wide and tall shapes, and the relator lattices of
-two-term fibration files, whose entries are all in 2..7.  Both input
-forms of `cokernel`, a matrix and sparse rows, must give the reference
-group.
+against its twin), wide and tall shapes, the relator lattices of
+two-term fibration files, whose entries are all in 2..7, banded
+lattices, whose entries grow to hundreds of bits in a dense elimination,
+and dense lattices up to 24 x 24, which a dense loop once took over.
+Both input forms of `cokernel`, a matrix and sparse rows, must give the
+reference group.
 
 Standard library only, so that it also runs on interpreters without
 pytest:
@@ -19,7 +21,7 @@ pytest:
 import random
 import sys
 
-from oracles import reference_cokernel, sparse_rows, two_term_fibration
+from oracles import banded_rows, reference_cokernel, sparse_rows, two_term_fibration
 from aspherical.lefschetz import parse_factorization, total_space_pi1
 from aspherical.zlinalg import IntMatrix, cokernel, relator_matrix
 
@@ -75,11 +77,34 @@ def two_term_lattices(genera=(8, 12, 16), seeds=(1, 2, 3)):
                 yield f"two-term genus {g}, {cycles} cycles, seed {seed}", relator_matrix(p)
 
 
+def banded_lattices(genera=range(2, 21)):
+    """The 2g x 2g tridiagonal lattices of `oracles.banded_rows`."""
+    for g in genera:
+        yield f"banded genus {g}", IntMatrix.from_rows(
+            [[row.get(j, 0) for j in range(2 * g)] for row in banded_rows(g)], cols=2 * g)
+
+
+def dense_sweep(seed: int = 4608, sides=(4, 8, 12, 16, 20, 24), copies: int = 2):
+    """n x n lattices with each cell drawn at density 0.2, 0.5 or 1,
+    entries +-[2, 9] or [-9, 9] (where 0 and +-1 come up too)."""
+    rng = random.Random(seed)
+    for name, entries in (("+-[2, 9]", NON_UNITS), ("[-9, 9]", range(-9, 10))):
+        for density in (0.2, 0.5, 1):
+            for n in sides:
+                for k in range(copies):
+                    rows = [[rng.choice(entries) if rng.random() < density else 0
+                             for _ in range(n)] for _ in range(n)]
+                    yield (f"dense {n}x{n} #{k}, density {density}, {name}",
+                           IntMatrix.from_rows(rows, cols=n))
+
+
 def all_cases():
     yield from sparse_sweep(4602, 300, 12, UNITS)
     yield from sparse_sweep(4603, 300, 12)
     yield from shaped_sweep()
     yield from two_term_lattices()
+    yield from banded_lattices()
+    yield from dense_sweep()
 
 
 def check(cases) -> int:

@@ -28,7 +28,7 @@ that carries U and V forward through every operation, with its own copy
 of the pinned pivot rule, is the reference for the one in `zlinalg`,
 which replays them backward.  The dense cokernel, read off that Smith
 form of the whole matrix, is the reference for the transform-free
-one in `zlinalg`, which splits cyclic summands off sparse rows first,
+one in `zlinalg`, which splits every cyclic summand off sparse rows,
 and lattice membership read off the columns of the Smith transform V
 is the reference for the cokernel comparison in
 `zlinalg.in_row_lattice`.
@@ -384,6 +384,63 @@ def two_term_fibration(g: int, cycles: int, seed: int) -> str:
         i, j, e, f = rng.randint(1, g), rng.randint(1, g), rng.randint(2, 7), rng.randint(2, 7)
         lines.append(f"cycle + a{i}^{e} b{j}^{f}")
     return "\n".join(lines) + "\n"
+
+
+def _generator(j: int) -> str:
+    """The j-th (0-based) generator of a1 b1 a2 b2 ...."""
+    return f"{'ab'[j % 2]}{j // 2 + 1}"
+
+
+def banded_rows(g: int) -> list[dict[int, int]]:
+    """2g tridiagonal rows over a1 b1 ... ag bg with no entry +-1: row i
+    holds s * m in columns i - 1, i, i + 1 (those in 0..2g-1), with
+    s = choice([-1, 1]) and m = randint(2, 9) drawn in that order from
+    random.Random(1).  The rows stay short while elimination grows their
+    entries to hundreds of bits."""
+    rng = random.Random(1)
+    rows = []
+    for i in range(2 * g):
+        row = {}
+        for j in range(max(i - 1, 0), min(i + 2, 2 * g)):
+            s = rng.choice([-1, 1])
+            row[j] = s * rng.randint(2, 9)
+        rows.append(row)
+    return rows
+
+
+def _row_words(rows: list[dict[int, int]]) -> list[str]:
+    return [" ".join(f"{_generator(j)}^{e}" for j, e in row.items()) for row in rows]
+
+
+def banded_fibration(g: int) -> str:
+    """Fibration file of one `cycle + word` per row of `banded_rows`."""
+    cycles = "".join(f"cycle + {w}\n" for w in _row_words(banded_rows(g)))
+    return f"fibration banded genus {g}\nfiber_genus {g}\n" + cycles
+
+
+def banded_presentation(g: int) -> str:
+    """Fibered presentation file: the genus-g surface generators and
+    relator, then one `rel` per row of `banded_rows`."""
+    return _fibered_file("banded", g, _row_words(banded_rows(g)))
+
+
+def dense_presentation(n: int) -> str:
+    """Fibered presentation file on n generators (n even): the
+    genus-n/2 surface relator, then n relators, each the product of x^e
+    over every generator x, e drawn from random.Random(4403) uniform in
+    [-9, 9] (x left out at e = 0)."""
+    rng = random.Random(4403)
+    words = [
+        " ".join(f"{_generator(j)}^{e}" for j in range(n) for e in [rng.randint(-9, 9)] if e)
+        for _ in range(n)
+    ]
+    return _fibered_file("dense", n // 2, words)
+
+
+def _fibered_file(label: str, g: int, words: list[str]) -> str:
+    gens = " ".join(_generator(j) for j in range(2 * g))
+    surface = " ".join(f"[a{i},b{i}]" for i in range(1, g + 1))
+    return f"group {label}\ngens {gens}\nrel {surface}\n" + "".join(f"rel {w}\n" for w in words)
 
 
 def determinant(a: IntMatrix) -> int:

@@ -1,12 +1,15 @@
 """Every benchmark op's CLI output from this tree against another tree's.
 
 Runs each op of the three benchmark workloads (`perfbench/workloads.py`),
-at seeds 1 and 2, and `fibration` on files of multi-term classes, which
-the benchmark's chain relations lack (the seeded two-term files of
-`tests/oracles.py` at genus 3, 8 and 16, and `tests/data/mixed_twists.txt`),
-in text and in JSON, through the `aspherical.cli` of this tree and through
-that of OTHER_TREE, and compares the exit code, stdout and stderr of each
-run.  Exits 1 naming the runs that differ, 0 when none does: a change that
+at seeds 1 and 2; `fibration` on files of multi-term classes, which the
+benchmark's chain relations lack (the seeded two-term files of
+`tests/oracles.py` at genus 3, 8 and 16, and `tests/data/mixed_twists.txt`)
+and on the banded files of `tests/oracles.py` at genus 10 and 40; and
+`fibersum -e 1` on the banded presentation files at genus 10 and 40 and
+on dense presentation files of 20 and 40 generators, whose lattices the
+sparse stage of `zlinalg.cokernel` takes to the end; all in text and in
+JSON, through the `aspherical.cli` of this tree and through that of
+OTHER_TREE, and compares the exit code, stdout and stderr of each run.  Exits 1 naming the runs that differ, 0 when none does: a change that
 keeps the README's byte-identical output contract passes against its base
 commit.
 
@@ -14,7 +17,8 @@ Each tree runs in a child process of its own, which imports that tree's
 package.  Both children take the ops from this tree's `perfbench/`,
 read only, and write the ops' input files with `worker.materialize` into
 one and the same work directory, so that paths agree in messages; the
-fibration files are written once, by this tree's oracles, for both.
+fibration and presentation files are written once, by this tree's
+oracles, for both.
 
 Standard library only:
 
@@ -38,23 +42,33 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2)
 FORMATS = ("text", "json")
 FIBRATION_GENERA = (3, 8, 16)
+BANDED_GENERA = (10, 40)
+DENSE_GENERATORS = (20, 40)
 
 
-def write_fibrations(directory: Path) -> None:
-    """The two-term fibration files, 3g cycles at genus g and each seed,
-    and the hand-written one, into `directory`."""
+def write_files(directory: Path) -> None:
+    """Into `directory`/fibration: the two-term fibration files, 3g cycles
+    at genus g and each seed, the banded ones and the hand-written one.
+    Into `directory`/fibersum: the banded and dense presentation files."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-    from oracles import two_term_fibration
+    from oracles import banded_fibration, banded_presentation, dense_presentation, two_term_fibration
 
-    directory.mkdir()
+    fibrations, presentations = directory / "fibration", directory / "fibersum"
+    fibrations.mkdir(parents=True)
+    presentations.mkdir()
     for g in FIBRATION_GENERA:
         for seed in SEEDS:
-            path = directory / f"two_term_g{g}_seed{seed}.txt"
+            path = fibrations / f"two_term_g{g}_seed{seed}.txt"
             path.write_text(two_term_fibration(g, 3 * g, seed))
-    shutil.copy(ROOT / "tests" / "data" / "mixed_twists.txt", directory)
+    for g in BANDED_GENERA:
+        (fibrations / f"banded_g{g}.txt").write_text(banded_fibration(g))
+        (presentations / f"banded_g{g}.txt").write_text(banded_presentation(g))
+    for n in DENSE_GENERATORS:
+        (presentations / f"dense_n{n}.txt").write_text(dense_presentation(n))
+    shutil.copy(ROOT / "tests" / "data" / "mixed_twists.txt", fibrations)
 
 
-def run_tree(tree: Path, workdir: Path, fibrations: Path) -> list[list]:
+def run_tree(tree: Path, workdir: Path, files: Path) -> list[list]:
     """Each run's name, exit code, stdout digest and stderr, through the
     CLI of `tree`."""
     sys.path[:0] = [str(tree / "src"), str(ROOT / "perfbench")]
@@ -79,14 +93,16 @@ def run_tree(tree: Path, workdir: Path, fibrations: Path) -> list[list]:
             ops = workloads.build(workload, seed)
             for k, (op, argv) in enumerate(zip(ops, worker.materialize(ops, workdir, call))):
                 run(f"{workload} seed {seed} op {k} ({op.label})", argv)
-    for path in sorted(fibrations.iterdir()):
+    for path in sorted((files / "fibration").iterdir()):
         run(f"fibration {path.name}", ("fibration", str(path)))
+    for path in sorted((files / "fibersum").iterdir()):
+        run(f"fibersum -e 1 {path.name}", ("fibersum", str(path), "-e", "1"))
     return rows
 
 
-def _child(tree: Path, workdir: Path, fibrations: Path) -> dict[str, tuple]:
+def _child(tree: Path, workdir: Path, files: Path) -> dict[str, tuple]:
     done = subprocess.run(
-        [sys.executable, __file__, "--child", str(tree), str(workdir), str(fibrations)],
+        [sys.executable, __file__, "--child", str(tree), str(workdir), str(files)],
         capture_output=True, text=True,
     )
     if done.returncode:
@@ -107,10 +123,10 @@ def main(argv: list[str]) -> int:
         print(f"error: no aspherical package under {other / 'src'}", file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as scratch:
-        fibrations = Path(scratch) / "fibrations"
-        write_fibrations(fibrations)
+        files = Path(scratch) / "files"
+        write_files(files)
         ours, theirs = (
-            _child(tree, Path(scratch) / "work", fibrations) for tree in (ROOT, other)
+            _child(tree, Path(scratch) / "work", files) for tree in (ROOT, other)
         )
     differ = []
     for name in sorted(ours.keys() | theirs.keys()):

@@ -528,8 +528,8 @@ def _surface_file(g, extra_relators=()):
 
 
 def test_fibersum_of_a_dense_60_generator_file_in_bounded_time(capsys, tmp_path):
-    # Both abelianizations leave a dense core with no unit pivots; with
-    # U and V carried through the Smith form this took 2.8-3.3 s.
+    # A dense lattice with few unit pivots; with U and V carried through
+    # the Smith form this took 2.8-3.3 s.
     rng = random.Random(4403)
     gens = [f"{x}{i}" for i in range(1, 31) for x in "ab"]
     dense = [

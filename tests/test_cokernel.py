@@ -1,12 +1,14 @@
 """The cokernel against the dense Smith-form reference and sympy.
 
-`zlinalg.cokernel` splits cyclic summands off sparse rows by Euclidean
-steps, +-1 pivots first, before any dense work; zero, repeated and
-negated rows reduce to zero there.  These tests feed it matrices rich in
-exactly those rows, sparse lattices with no unit entry (the seeded
-sweeps of `tests/cokernel_differential.py` and two-term fibration
-files), the relator lattices the CLI abelianizes, and dense matrices,
-whose core the sparse stage hands to the dense loop.
+`zlinalg.cokernel` splits every cyclic summand off sparse rows by
+Euclidean steps, +-1 pivots first; zero, repeated and negated rows
+reduce to zero there.  No dense core is handed on: the Smith loop
+`_eliminate` serves `smith_normal_form` alone.  These tests feed the
+cokernel matrices rich in exactly those rows, sparse lattices with no
+unit entry (the seeded sweeps of `tests/cokernel_differential.py`,
+two-term fibration files and banded lattices), the relator lattices the
+CLI abelianizes, and dense matrices, which the sparse stage now takes
+to the end as well.
 """
 
 import math
@@ -15,9 +17,20 @@ import time
 
 import pytest
 
-from cokernel_differential import all_cases, check, shaped_sweep, sparse_sweep
+from cokernel_differential import (
+    all_cases,
+    banded_lattices,
+    check,
+    dense_sweep,
+    shaped_sweep,
+    sparse_sweep,
+)
 from oracles import (
+    banded_fibration,
+    banded_presentation,
+    banded_rows,
     chain_relation,
+    dense_presentation,
     determinant,
     reference_cokernel,
     reference_direct_sum,
@@ -30,7 +43,7 @@ from aspherical.fibersum import (
     fiber_sum_with_trivial_bundle,
     witness_presentation,
 )
-from aspherical.fpgroup import parse_presentation
+from aspherical.fpgroup import parse_presentation, render_presentation
 from aspherical.lefschetz import homology_trivial, parse_factorization, total_space_pi1
 from aspherical.zlinalg import FgAbelian, IntMatrix, abelianization, cokernel, relator_matrix
 
@@ -87,14 +100,21 @@ def test_presolve_edge_cases():
 
 
 def test_differential_sweeps_match_the_dense_reference():
-    # Unit and non-unit sparse sweeps, wide and tall shapes, two-term lattices.
-    assert check(all_cases()) == 300 + 300 + 21 + 18
+    # Unit and non-unit sparse sweeps, wide and tall shapes, two-term,
+    # banded and dense lattices.
+    assert check(all_cases()) == 300 + 300 + 21 + 18 + 19 + 72
 
 
 def test_non_unit_sweeps_match_sympy():
     # Up to 40 x 40: sympy is the independent oracle, not the Smith loop.
     cases = [*sparse_sweep(4604, 60, 12), *sparse_sweep(4605, 12, 40), *shaped_sweep(4606)]
     for name, a in cases:
+        assert cokernel(a) == sympy_cokernel(a), name
+
+
+def test_banded_lattices_match_sympy():
+    # 2g = 4 to 40: tridiagonal, no entry +-1.
+    for name, a in banded_lattices():
         assert cokernel(a) == sympy_cokernel(a), name
 
 
@@ -121,25 +141,58 @@ def test_two_term_fibration_in_bounded_time(tmp_path, capsys):
     assert "abelianization: Z^" in capsys.readouterr().out
 
 
-def test_only_dense_cores_reach_the_dense_loop(monkeypatch):
-    shapes, eliminate = [], zlinalg._eliminate
+def test_no_cokernel_enters_the_dense_loop(monkeypatch, tmp_path, capsys):
+    # With the Smith loop raising, every cokernel below, through the CLI
+    # and called directly, must come from the sparse stage alone.
+    def refused(*args):
+        raise AssertionError("a cokernel entered the Smith loop")
 
-    def recorded(d, rows, cols):
-        shapes.append((rows, cols))
-        return eliminate(d, rows, cols)
-
-    monkeypatch.setattr(zlinalg, "_eliminate", recorded)
-    # Sparse lattices with no unit, square and tall, split off completely.
-    m, _ = parse_factorization(two_term_fibration(64, 200, 1))
-    abelianization(total_space_pi1(m, False))
+    monkeypatch.setattr(zlinalg, "_eliminate", refused)
+    m, _ = parse_factorization(chain_relation(3))
+    files = {
+        "chain.txt": chain_relation(3),
+        "two_term.txt": two_term_fibration(64, 200, 1),
+        "banded.txt": banded_fibration(20),
+        "chain_pi1.txt": render_presentation(total_space_pi1(m, homology_trivial(m))),
+        "banded_pi1.txt": banded_presentation(20),
+        "dense_pi1.txt": dense_presentation(30),
+    }
+    argvs = [["witness", "Z^13+Z/2+Z/4+Z/8"]]
+    for name, text in files.items():
+        path = tmp_path / name
+        path.write_text(text)
+        argvs.append(["fibersum", str(path), "-e", "2"] if "pi1" in name else ["fibration", str(path)])
+    for argv in argvs:
+        assert cli.main(argv) == 0, argv
+    assert capsys.readouterr().out.count("abelianization_check: PASS") == 4
+    # Sparse lattices with no unit, dense ones with few, and a banded one.
     rng = random.Random(4607)
     rows = [{j: rng.choice((2, -3, 5, -7, 9)) for j in rng.sample(range(60), 3)} for _ in range(60)]
     cokernel(rows, 60)
-    assert shapes == [(0, 0), (0, 0)]
-    # A dense square lattice is handed on once its units are used up.
-    dense = [[rng.randint(-9, 9) for _ in range(30)] for _ in range(30)]
-    cokernel(IntMatrix.from_rows(dense, cols=30))
-    assert shapes[-1][0] == shapes[-1][1] > 20
+    for _, a in dense_sweep(sides=(30,), copies=1):
+        cokernel(a)
+    cokernel(banded_rows(100), 200)
+
+
+def test_banded_genus_200_cokernel_in_bounded_time():
+    # 400 x 400 tridiagonal, no entry +-1.  Handing a dense core of
+    # entries that reach hundreds of bits to the Smith loop took 0.67-0.78 s
+    # here; the sparse stage alone takes 0.15-0.19 s.  The best of three
+    # runs must stay under 0.6 s.
+    rows = banded_rows(200)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        ab = cokernel([dict(row) for row in rows], 400)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.6
+    # Full rank: the group is finite, of order |det|, which a tridiagonal
+    # matrix gives by its three-term recurrence.
+    det, prev = 1, 0
+    for i, row in enumerate(rows):
+        det, prev = row[i] * det - row.get(i - 1, 0) * rows[i - 1].get(i, 0) * prev, det
+    assert det and ab.free_rank == 0
+    assert math.prod(ab.torsion) == abs(det)
 
 
 def _assert_matches_reference(p):
@@ -165,11 +218,11 @@ def test_abelianization_of_chain_fibrations_and_fiber_sums_matches_dense_referen
 
 
 def test_dense_random_presentation_matches_sympy_in_bounded_time(tmp_path):
-    # Few unit entries to eliminate, so the sparse stage hands on an almost
-    # full 40 x 40 core; eliminating what units there are must not grow
-    # the entries enough to slow the Smith form down.  The dense Smith
-    # form alone takes 0.10-0.15 s here, so the best of three runs must
-    # stay within about three times that.
+    # Few unit entries, so once they are used up the sparse stage works on
+    # an almost full 40 x 40 lattice to the end; no dense core is handed
+    # on.  The dense Smith form alone takes 0.10-0.15 s here, and the
+    # sparse stage about 0.02 s, so the best of three runs must stay
+    # within about three times the former.
     rng = random.Random(4403)
     n = 40
     lines = ["group dense", "gens " + " ".join(f"g{j}" for j in range(1, n + 1))]
@@ -189,9 +242,10 @@ def test_dense_random_presentation_matches_sympy_in_bounded_time(tmp_path):
 
 
 def test_dense_80x80_cokernel_in_bounded_time():
-    # Once its units are used up, a dense core goes through the Smith
-    # elimination; carrying U and V through it took 16.7 s here.
-    # The cokernel carries no transforms and must stay within 3 s.
+    # Carrying U and V through a Smith elimination of this lattice took
+    # 16.7 s here.  The cokernel carries no transforms and hands no dense
+    # core on: its sparse stage runs to the end, about 0.33 s, and must
+    # stay within 3 s.
     rng = random.Random(4403)
     n = 80
     a = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)], cols=n)
