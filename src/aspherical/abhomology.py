@@ -138,16 +138,19 @@ def group_homology_graded(g: FgAbelian, max_degree: int) -> tuple[FgAbelian, ...
     then, unless g is free, one prefix sum over the degrees per invariant
     factor (see the module docstring).
 
-    Rejected up front when the invariant factors through max_degree
-    number more than _MAX_HOMOLOGY_SUMMANDS.
+    Rejected up front when its invariant factors, each weighed 1 + bits // 89,
+    weigh over _MAX_HOMOLOGY_SUMMANDS.  Members from chain position i on make
+    as many as a chain of t - i members, so a step up in weight at i is charged on that many.
     """
-    summands = sum(invariant_factor_counts(g.free_rank, len(g.torsion), max_degree))
-    if summands > _MAX_HOMOLOGY_SUMMANDS:
-        raise ValueError(
-            f"homology through degree {max_degree} has {summands} torsion summands, "
-            f"over the limit of {_MAX_HOMOLOGY_SUMMANDS}"
-        )
-    free = [math.comb(g.free_rank, k) for k in range(max_degree + 1)]
+    m, t, weight, step = g.free_rank, len(g.torsion), 0, 0
+    for i, d in enumerate(g.torsion):
+        if (w := 1 + d.bit_length() // 89) > step:
+            weight += (w - step) * sum(invariant_factor_counts(m, t - i, max_degree))
+            step = w
+    if weight > _MAX_HOMOLOGY_SUMMANDS:
+        raise ValueError(f"homology through degree {max_degree} has torsion summands weighing "
+                         f"{weight} by their bits, over the limit of {_MAX_HOMOLOGY_SUMMANDS}")
+    free = [math.comb(m, k) for k in range(max_degree + 1)]
     if not g.torsion:
         return tuple(map(FgAbelian, free))
     # fresh[n] = C(m, n-1) + C(m, n-3) + ..., the new copies of Z/d in degree n

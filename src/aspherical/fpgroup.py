@@ -28,11 +28,11 @@ from .word import (
     _Value,
     _free_reduce,
     _inv,
-    _parse_word,
     _quote,
     _render_letters,
     cyclic_reduce,
     exponent_vector,
+    parse_word,
     render_word,
 )
 from .zlinalg import FgAbelian
@@ -267,10 +267,10 @@ def _read_word_file(
     """The reader of presentation and fibration files: blank lines aside,
     the `header` line once (its rest is the label), the `space` line once
     (`alphabet_of` reads its rest; the names are indexed once), then
-    `item` lines (`split` reads each rest as a tag and a word text; a
-    distinct word text is parsed and cyclically reduced once).  Returns
-    the label, alphabet, words and tags; a ValueError on a line becomes a
-    FormatError naming the line."""
+    `item` lines (`split` reads each rest as a tag and a word text;
+    `parse_word`, given that index, parses a distinct word text once, and
+    it is cyclically reduced once).  Returns the label, alphabet, words
+    and tags; a ValueError on a line becomes a FormatError naming it."""
     label, alphabet, seen_header = None, None, False
     words, tags, parsed = [], [], {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -280,7 +280,7 @@ def _read_word_file(
             if key == item and alphabet is not None:
                 tag, word_text = split(rest)
                 if word_text not in parsed:
-                    parsed[word_text] = cyclic_reduce(_parse_word(word_text, alphabet, index))
+                    parsed[word_text] = cyclic_reduce(parse_word(word_text, alphabet, index))
                 words.append(parsed[word_text])
                 tags.append(tag)
             elif key == header and not seen_header:

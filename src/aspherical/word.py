@@ -283,17 +283,12 @@ def _power(letters: list[tuple[int, int]], n: int) -> list[tuple[int, int]]:
     return letters * n
 
 
-def parse_word(text: str, alphabet: Sequence[str]) -> Word:
+def parse_word(text: str, alphabet: Sequence[str], index: Mapping[str, int] | None = None) -> Word:
     """Parse `text` over `alphabet`, a sequence of generator names; see the
-    module docstring for the grammar."""
+    module docstring for the grammar.  `index` maps each name to its
+    position; a file's reader builds it once for all its words."""
     alphabet = tuple(alphabet)
-    return _parse_word(text, alphabet, {name: i for i, name in enumerate(alphabet)})
-
-
-def _parse_word(text: str, alphabet: tuple[str, ...], index: Mapping[str, int]) -> Word:
-    """`parse_word`, given the alphabet's name index: a file's reader
-    builds it once for all its words."""
-    parser = _Parser(text, index)
+    parser = _Parser(text, index or {name: i for i, name in enumerate(alphabet)})
     letters = parser.parse_word(closers=("end",))
     parser.take("end")
     return Word(alphabet, _free_reduce(letters))

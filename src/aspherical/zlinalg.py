@@ -13,12 +13,13 @@ forward product exactly, but each step stays in its trailing block.  The
 log holds one summed operation per line and run of commuting clearing
 steps, so a line cleared over several passes costs one operation.  Above
 a measured size, where `os.fork` exists, two CPUs are allowed and the
-process has one thread, V is replayed in a forked child while the parent
-replays U: the same integers, and a threaded caller stays serial.  That
-loop serves `smith_normal_form` alone.  A cokernel carries no transforms
-and hands no dense core on: its rows are kept sparse, and Euclidean
-steps split every cyclic summand off them.  Relator lattices are
-abelianized that way straight from the relator words.
+process has one thread, V is replayed in a child forked and pinned off
+the caller's CPU while the caller, its affinity untouched, replays U:
+the same integers, and a threaded caller stays serial.  That loop serves
+`smith_normal_form` alone.  A cokernel carries no transforms and hands
+no dense core on: its rows are kept sparse, and Euclidean steps split
+every cyclic summand off them.  Relator lattices are abelianized that
+way straight from the relator words.
 """
 
 from __future__ import annotations
@@ -278,9 +279,9 @@ _FORK_WORK = 40_000
 def _replay_both(rows: int, cols: int, steps) -> tuple[list[list[int]], list[list[int]]]:
     """U^T's and V's replays; V's in a forked child, sent back with `marshal`,
     when both are above `_FORK_WORK`, `os.fork` exists, two CPUs are allowed
-    and the process has one thread (a forked threaded one can deadlock).  The
-    two are pinned apart: without load balancing, a child may share its
-    parent's CPU throughout.  If V does not come back whole, it is replayed here."""
+    and the process has one thread (a forked threaded one can deadlock).  Only
+    the child is pinned, off its caller's CPU, which without load balancing it
+    may share throughout.  Unless that CPU is read and V comes back whole, V is replayed here."""
     row_logs, col_logs = [ops for ops, _ in steps], [ops for _, ops in steps]
     work = min(sum(len(ops) // 3 * (n - k) for k, ops in enumerate(logs))
                for n, logs in ((rows, row_logs), (cols, col_logs)))
@@ -290,14 +291,15 @@ def _replay_both(rows: int, cols: int, steps) -> tuple[list[list[int]], list[lis
             and len(cpus := os.sched_getaffinity(0)) > 1
             and (threading is None or threading.active_count() == 1)):
         try:
-            os.sched_setaffinity(0, {min(cpus)})
+            with open("/proc/self/stat", "rb") as stat:  # field 39, counted past the name
+                cpu = int(stat.read().rpartition(b")")[2].split()[36])
             r, w = os.pipe()
             with open(r, "rb") as pipe, open(w, "wb") as out:
                 if (pid := os.fork()) == 0:  # the child ends here on every path, flushing nothing
                     code = 1
                     try:
                         pipe.close()
-                        os.sched_setaffinity(0, cpus - {min(cpus)})
+                        os.sched_setaffinity(0, cpus - {cpu})
                         marshal.dump(_replay(cols, col_logs), out)
                         out.close()
                         code = 0
@@ -306,10 +308,9 @@ def _replay_both(rows: int, cols: int, steps) -> tuple[list[list[int]], list[lis
                 out.close()
                 u = _replay(rows, row_logs)
                 v = marshal.loads(pipe.read())
-        except (OSError, EOFError, ValueError, TypeError):  # no pipe or fork, or V unreadable
+        except (OSError, IndexError, ValueError, EOFError, TypeError):  # no CPU, pipe, fork or V
             pass
         finally:
-            os.sched_setaffinity(0, cpus)
             if pid:
                 if v is None:
                     os.kill(pid, 9)  # SIGKILL; a child that has exited is still there to reap

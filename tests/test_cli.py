@@ -927,6 +927,50 @@ def test_homology_over_the_summand_limit_exits_2_before_any_work(capsys):
         assert f"limit of {_MAX_HOMOLOGY_SUMMANDS}" in err
 
 
+# 16 copies of the largest order a spec may hold, 2^14283 (4300 digits):
+# a 69 KB spec within every limit on the spec itself.
+_LARGE_ORDER = 2 ** (_MAX_TORSION_BITS - 1)
+_LARGE_16 = "+".join([f"Z/{_LARGE_ORDER}"] * 16)
+
+
+def test_homology_of_large_orders_over_the_weighed_limit_exits_2_before_any_summand(
+    capsys, monkeypatch
+):
+    # Counted without their bits, degree 5's 16,336 summands of 4302
+    # characters printed 70 MB in about 5 s, and degree 8's 548,590 would
+    # print about 2.4 GB.  Each now weighs 1 + 14284 // 89 = 161.
+    monkeypatch.setattr(abhomology, "FgAbelian", _no_heavy_work)
+    monkeypatch.setattr(FgAbelian, "render", _no_heavy_work)
+    for degree in ("5", "8"):
+        best, code, out, err = _best_of_3(capsys, "homology", _LARGE_16, degree)
+        assert best < 0.05, degree
+        assert (code, out) == (2, ""), degree
+        assert err.startswith(f"error: homology through degree {degree} has torsion summands")
+        assert err.endswith(f"by their bits, over the limit of {_MAX_HOMOLOGY_SUMMANDS}\n")
+
+
+def test_homology_of_large_orders_at_the_largest_accepted_degree_in_bounded_time(capsys):
+    # Degree 4 is the largest the weighed limit accepts for 16 copies: its
+    # 4012 summands print 17 MB in about 1.2 s, under the limit's 2 s aim.
+    best, code, out, _ = _best_of_3(capsys, "homology", _LARGE_16, "4")
+    assert best < 2.0
+    assert code == 0
+    assert out.count(f"Z/{_LARGE_ORDER}") == 16 + 4012  # the group line, then H_0..H_4
+
+
+def test_homology_weighs_each_chain_member_by_its_own_bits(capsys):
+    # (Z/2)^16 through degree 8 has 548,590 one-bit summands.  With one
+    # Z/2 made Z/2^14283, only the 4 summands of that order (one in each
+    # odd degree) weigh 161; weighed by the largest order, every summand
+    # would, and the limit would refuse degrees 5 to 8.
+    for terms, large in ((["Z/2"] * 16, 0), (["Z/2"] * 15 + [f"Z/{_LARGE_ORDER}"], 4)):
+        code, out, _ = run(capsys, "homology", "+".join(terms), "8")
+        assert code == 0, large
+        small = terms.count("Z/2")  # the group line's one-bit terms, then H_0..H_8
+        assert out.count(f"Z/{_LARGE_ORDER}") == (16 - small) + large
+        assert out.count("Z/2 ") + out.count("Z/2\n") == small + 548590 - large
+
+
 def test_witness_of_rank_40_in_bounded_time(capsys):
     # A dense Smith form of the whole 1129 x 156 relator matrix took about
     # a second; the presolve eliminates every relator and leaves no core.

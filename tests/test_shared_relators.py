@@ -22,7 +22,7 @@ from oracles import (
     reference_commutator,
     word_from_letters,
 )
-from aspherical import lefschetz
+from aspherical import fpgroup, lefschetz
 from aspherical.cli import main
 from aspherical.fibersum import (
     fiber_sum_with_trivial_bundle,
@@ -124,6 +124,35 @@ def test_a_repeated_bad_line_reports_its_first_line():
     with pytest.raises(FormatError) as exc:
         parse_factorization(text)
     assert str(exc.value) == f"line 4: {direct.value}"
+
+
+def test_file_readers_parse_each_distinct_line_once_through_parse_word(
+    capsys, tmp_path, monkeypatch
+):
+    # The reader hands `parse_word` the name index it builds once per file.
+    texts = []
+
+    def counted(text, alphabet, index=None):
+        assert index == {name: i for i, name in enumerate(alphabet)}
+        texts.append(text)
+        return parse_word(text, alphabet, index)
+
+    monkeypatch.setattr(fpgroup, "parse_word", counted)
+    presentation = tmp_path / "p.txt"
+    presentation.write_text(
+        "group p\ngens a1 b1 a2 b2\nrel [a1,b1] [a2,b2]\nrel a1^2\n"
+        "rel [a1,b1] [a2,b2]\nrel  a1^2 \nrel a1 a1\n"
+    )
+    assert run(capsys, "fibersum", str(presentation), "-e", "1")[0] == 0
+    assert texts == ["[a1,b1] [a2,b2]", "a1^2", "a1 a1"]
+    texts.clear()
+    fibration = tmp_path / "f.txt"
+    fibration.write_text(
+        "fibration f\nfiber_genus 2\ncycle + a1\ncycle - b1\ncycle + a1\n"
+        "cycle + a1 b2\ncycle - b1\n"
+    )
+    assert run(capsys, "fibration", str(fibration))[0] == 0
+    assert texts == ["a1", "b1", "a1 b2"]
 
 
 def test_cyclic_reduce_returns_a_reduced_word_itself():

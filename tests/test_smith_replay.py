@@ -10,13 +10,16 @@ cancel lives in `tests/smith_differential.py`, which also runs without
 pytest.
 
 Above `zlinalg._FORK_WORK`, V is replayed in a forked child while the
-parent replays U.  The cases below run both schedules, with the cutoff
-forced to 0 for the forked one, and check the fallbacks: a failing
-child, no `os.fork`, and a parent that raises after the fork.  No case
-may leave a child behind.
+parent replays U; only the child is pinned, off the CPU its caller
+runs on.  The cases below run both schedules, with the cutoff forced to
+0 for the forked one, and check the fallbacks: a failing child, no
+`os.fork`, a caller's CPU that cannot be read, and a parent that raises
+after the fork.  No case may leave a child behind or change the
+caller's CPU affinity.
 """
 
 import hashlib
+import io
 import marshal
 import os
 import random
@@ -102,7 +105,7 @@ def no_child_left():
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    if cpus is not None:  # the replay pins the parent while the child runs
+    if cpus is not None:  # only the forked child pins itself
         assert os.sched_getaffinity(0) == cpus
 
 
@@ -155,6 +158,66 @@ def test_only_large_replays_fork(forks):
     smith_normal_form(IntMatrix.from_rows(_random_rows(random.Random(4511), 14, 14), cols=14))
     assert len(forks) == 0
     smith_normal_form(_DENSE_40)
+    assert len(forks) == 1
+
+
+@needs_fork
+def test_the_caller_never_sets_its_cpu_affinity(forks, monkeypatch):
+    # The child pins itself off its caller's CPU; a call it makes lands in
+    # its own copy of `calls`, so every recorded call is the caller's.
+    calls, set_affinity = [], os.sched_setaffinity
+
+    def recorded(pid, mask):
+        calls.append(mask)
+        set_affinity(pid, mask)
+
+    monkeypatch.setattr(os, "sched_setaffinity", recorded)
+    got, expected = smith_normal_form(_DENSE_40), reference_smith_normal_form(_DENSE_40)
+    assert (got.d, got.u, got.v) == (expected.d, expected.u, expected.v)
+    assert len(forks) == 1
+    monkeypatch.setattr(zlinalg, "_FORK_WORK", 0)
+    for _, a in _CASES:  # 36 of the 56 do work in both replays, so fork
+        smith_normal_form(a)
+    assert len(forks) == 1 + 36 and calls == []
+
+
+def _proc_stat(content):
+    """An `open` for `zlinalg` under which /proc/self/stat raises, or reads
+    as `content`; other files open as usual."""
+    def fake_open(path, *args, **kwargs):
+        if path != "/proc/self/stat":
+            return open(path, *args, **kwargs)
+        if content is None:
+            raise PermissionError(path)
+        return io.BytesIO(content)
+
+    return fake_open
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "content",
+    [None, b"", b"12 (a) b) R 1 2", b"12 (a) b) " + b"x " * 40],
+    ids=["unreadable", "empty", "too few fields", "not a number"],
+)
+def test_without_the_callers_cpu_the_replay_is_serial(content, forks, monkeypatch):
+    monkeypatch.setattr(zlinalg, "open", _proc_stat(content), raising=False)
+    got, expected = smith_normal_form(_DENSE_40), reference_smith_normal_form(_DENSE_40)
+    assert (got.d, got.u, got.v) == (expected.d, expected.u, expected.v)
+    assert len(forks) == 0
+
+
+@needs_fork
+def test_the_callers_cpu_is_read_past_the_process_name(forks, monkeypatch):
+    # A process name may hold spaces and ")", so field 39 is counted from
+    # the last ")".  No other field here is a number: a miscount would
+    # leave the replay serial.
+    cpu = str(min(os.sched_getaffinity(0))).encode()
+    fields = [b"R"] + [b"x"] * 35 + [cpu] + [b"x"] * 13
+    content = b"12 (a b) c) " + b" ".join(fields) + b"\n"
+    monkeypatch.setattr(zlinalg, "open", _proc_stat(content), raising=False)
+    got, expected = smith_normal_form(_DENSE_40), reference_smith_normal_form(_DENSE_40)
+    assert (got.d, got.u, got.v) == (expected.d, expected.u, expected.v)
     assert len(forks) == 1
 
 
