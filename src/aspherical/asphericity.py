@@ -36,7 +36,15 @@ class Reason(enum.Enum):
     RANK_THREE = "RankThree"
 
 
-_ASPHERICAL_REASONS = {Reason.IS_Z2, Reason.RANK_AT_LEAST_4}
+# Each verdict's citations and, for a rejecting one, what a refused witness
+# says; a verdict with no phrase is aspherical.
+VERDICTS: dict[Reason, tuple[tuple[str, ...], str | None]] = {
+    Reason.IS_Z2: (("Theorem 1.2",), None),
+    Reason.RANK_AT_LEAST_4: (("Theorem 1.2", "Corollary 5.2"), None),
+    Reason.RANK_ZERO_OR_ONE: (("[IKRT] (external input)",), "free rank 0 or 1"),
+    Reason.RANK_TWO_WITH_TORSION: (("Theorem 1.2",), "free rank 2 with torsion"),
+    Reason.RANK_THREE: (("Example 1.3",), "free rank 3"),
+}
 
 CLASS_NOTE_Z2 = "A\\B"
 CLASS_NOTE_Z4_Z2 = "B\\A"
@@ -52,7 +60,7 @@ class AsphericityVerdict(_Value):
 
     def __init__(self, reason: Reason, realizable_dims: frozenset[int],
                  pi2_forced_nonzero_in_dim4: bool, class_note: str | None):
-        if bool(realizable_dims) != (reason in _ASPHERICAL_REASONS):
+        if bool(realizable_dims) != (VERDICTS[reason][1] is None):
             raise ValueError("realizable dimensions must be nonempty exactly when aspherical")
         object.__setattr__(self, "reason", reason)
         object.__setattr__(self, "realizable_dims", realizable_dims)
@@ -61,17 +69,15 @@ class AsphericityVerdict(_Value):
 
     @property
     def aspherical(self) -> bool:
-        return self.reason in _ASPHERICAL_REASONS
+        return VERDICTS[self.reason][1] is None
 
 
 def realizable_dimensions(gamma: FgAbelian) -> frozenset[int]:
     """{2} for Z^2; all even 2n with 4 <= 2n <= rank for rank >= 4; else empty."""
-    m = gamma.free_rank
-    if m == 2 and not gamma.torsion:
-        return frozenset({2})
-    if m >= 4:
-        return frozenset(range(4, m + 1, 2))
-    return frozenset()
+    reason = classify_reason(gamma)
+    if reason is Reason.RANK_AT_LEAST_4:
+        return frozenset(range(4, gamma.free_rank + 1, 2))
+    return frozenset({2} if reason is Reason.IS_Z2 else ())
 
 
 def hopf_obstruction_dim4(gamma: FgAbelian) -> bool:
@@ -124,5 +130,5 @@ def classify(gamma: FgAbelian) -> AsphericityVerdict:
         class_note = CLASS_NOTE_Z4_Z2
     else:
         class_note = None
-    pi2 = reason in _ASPHERICAL_REASONS and hopf_obstruction_dim4(gamma)
+    pi2 = VERDICTS[reason][1] is None and hopf_obstruction_dim4(gamma)
     return AsphericityVerdict(reason, realizable_dimensions(gamma), pi2, class_note)

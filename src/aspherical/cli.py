@@ -44,14 +44,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERDICT = 3
 
-_CITATIONS = {
-    asphericity.Reason.IS_Z2: ("Theorem 1.2",),
-    asphericity.Reason.RANK_AT_LEAST_4: ("Theorem 1.2", "Corollary 5.2"),
-    asphericity.Reason.RANK_ZERO_OR_ONE: ("[IKRT] (external input)",),
-    asphericity.Reason.RANK_TWO_WITH_TORSION: ("Theorem 1.2",),
-    asphericity.Reason.RANK_THREE: ("Example 1.3",),
-}
-
 
 class GroupSpecError(ValueError):
     pass
@@ -141,7 +133,7 @@ def _emit(args: Args, payload: dict) -> None:
 def cmd_classify(args: Args) -> int:
     gamma = parse_group_spec(args.group)
     verdict = asphericity.classify(gamma)
-    citations = list(_CITATIONS[verdict.reason])
+    citations = list(asphericity.VERDICTS[verdict.reason][0])
     if verdict.pi2_forced_nonzero_in_dim4:
         citations.append("Proposition 5.3")
     if verdict.class_note == asphericity.CLASS_NOTE_Z4_Z2:

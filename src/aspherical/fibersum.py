@@ -10,7 +10,7 @@ level.
 
 from __future__ import annotations
 
-from .asphericity import Reason, classify_reason
+from .asphericity import VERDICTS, Reason, classify_reason
 from .fpgroup import (
     GroupHom,
     InvalidGenus,
@@ -38,16 +38,8 @@ class NotAspherical(ValueError):
     """A witness was asked for a group the classification rejects for `reason`."""
 
     def __init__(self, reason: Reason):
-        super().__init__(f"not symplectically aspherical: {_NOT_ASPHERICAL[reason]}")
+        super().__init__(f"not symplectically aspherical: {VERDICTS[reason][1]}")
         self.reason = reason
-
-
-# What `witness_presentation` says for each reason the classification rejects.
-_NOT_ASPHERICAL = {
-    Reason.RANK_ZERO_OR_ONE: "free rank 0 or 1",
-    Reason.RANK_TWO_WITH_TORSION: "free rank 2 with torsion",
-    Reason.RANK_THREE: "free rank 3",
-}
 
 
 def fiber_sum_with_trivial_bundle(p: Presentation, e: int) -> Presentation:
@@ -151,7 +143,7 @@ def witness_presentation(gamma: FgAbelian) -> Presentation:
     final generators a_1,...,b_g, x_1, y_1.  Everything else is rejected.
     """
     reason = classify_reason(gamma)
-    if reason in _NOT_ASPHERICAL:
+    if VERDICTS[reason][1] is not None:
         raise NotAspherical(reason)
     label = f"witness {gamma.render()}"
     if reason is Reason.IS_Z2:

@@ -18,9 +18,9 @@ _MAX_PARSED_LETTERS = 1 << 18
 # entries are capped in sum over the twists before the first (8 dense
 # twists at genus 512), and, as the twists run, so is each twist's count
 # weighed by 1 + (a bound on the entries' bits) // 1024.
-# Homology's torsion summands, each weighed 1 + bits // 89 by its order's
-# bits, are capped before any is built: 6,512 of 14,283 bits (0.3 ms each
-# to print) fit, as do the 548,590 of (Z/2)^16 through degree 8.
+# Homology's torsion summands, weighed 1 + bits // 89 by their orders' bits
+# to bound the bytes printed, are capped before any is built: 6,512 of 14,283
+# bits (4.3 KB each, 28 MB in all) fit, as do (Z/2)^16's 548,590 to degree 8.
 _MAX_WITNESS_GENERATORS = 256
 _MAX_BASE_GENUS = 1024
 _MAX_GENUS_PRODUCT = 1 << 14

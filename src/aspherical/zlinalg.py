@@ -529,7 +529,11 @@ class FgAbelian(_Value):
             parts.append("Z")
         elif self.free_rank:
             parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z/{d}" for d in self.torsion)
+        last = None
+        for d in self.torsion:  # equal orders sit side by side: convert each run once
+            if d != last:
+                last, text = d, f"Z/{d}"
+            parts.append(text)
         return " + ".join(parts) if parts else "0"
 
 

@@ -334,7 +334,7 @@ def _nondivisible(m, k, rows, cols):
 
 def reference_cokernel(a: IntMatrix) -> FgAbelian:
     """Z^cols modulo the row lattice of `a`, from the dense Smith form of
-    the whole matrix, with no presolve."""
+    the whole matrix, with no sparse stage first."""
     diag = reference_smith_normal_form(a).diagonal
     nonzero = [x for x in diag if x]
     return FgAbelian(a.cols - len(nonzero), tuple(x for x in nonzero if x > 1))

@@ -7,11 +7,15 @@ benchmark's chain relations lack (the seeded two-term files of
 and on the banded files of `tests/oracles.py` at genus 10 and 40; and
 `fibersum -e 1` on the banded presentation files at genus 10 and 40 and
 on dense presentation files of 20 and 40 generators, whose lattices the
-sparse stage of `zlinalg.cokernel` takes to the end; all in text and in
-JSON, through the `aspherical.cli` of this tree and through that of
-OTHER_TREE, and compares the exit code, stdout and stderr of each run.  Exits 1 naming the runs that differ, 0 when none does: a change that
-keeps the README's byte-identical output contract passes against its base
-commit.
+sparse stage of `zlinalg.cokernel` takes to the end; and `classify`,
+`witness` and `homology` (through degree 5) on a fixed list of group
+specs: one per verdict of `asphericity.Reason`, and one with repeated
+orders of 302 digits, far past the benchmark's orders of under 35 bits;
+all in text and in JSON, through the `aspherical.cli` of this tree and
+through that of OTHER_TREE, and compares the exit code, stdout and
+stderr of each run.  Exits 1 naming the runs that differ, 0 when none
+does: a change that keeps the README's byte-identical output contract
+passes against its base commit.
 
 Each tree runs in a child process of its own, which imports that tree's
 package.  Both children take the ops from this tree's `perfbench/`,
@@ -44,6 +48,10 @@ FORMATS = ("text", "json")
 FIBRATION_GENERA = (3, 8, 16)
 BANDED_GENERA = (10, 40)
 DENSE_GENERATORS = (20, 40)
+# (run label, group spec): one group per verdict, then repeated large orders.
+GROUP_SPECS = [(spec, spec) for spec in ("0", "Z", "Z^2", "Z^2+Z/2", "Z^3", "Z^4", "Z^4+Z/2")] + [
+    ("Z^2+Z/6+3*Z/2^1000", "Z^2+Z/6+" + "+".join([f"Z/{2**1000}"] * 3)),
+]
 
 
 def write_files(directory: Path) -> None:
@@ -97,6 +105,9 @@ def run_tree(tree: Path, workdir: Path, files: Path) -> list[list]:
         run(f"fibration {path.name}", ("fibration", str(path)))
     for path in sorted((files / "fibersum").iterdir()):
         run(f"fibersum -e 1 {path.name}", ("fibersum", str(path), "-e", "1"))
+    for label, spec in GROUP_SPECS:
+        for command in (("classify", spec), ("witness", spec), ("homology", spec, "5")):
+            run(f"{command[0]} {label}", command)
     return rows
 
 

@@ -3,9 +3,11 @@ import pytest
 from oracles import epi_exists_oracle
 from aspherical.abhomology import group_homology
 from aspherical.asphericity import (
+    VERDICTS,
     AsphericityVerdict,
     Reason,
     classify,
+    classify_reason,
     covering_note,
     hopf_obstruction_dim4,
     realizable_dimensions,
@@ -75,6 +77,25 @@ def test_verdict_invariants_enforced():
         AsphericityVerdict(Reason.RANK_THREE, frozenset({4}), False, None)
     with pytest.raises(ValueError):
         AsphericityVerdict(Reason.IS_Z2, frozenset(), False, None)
+
+
+def test_verdict_table_has_one_entry_per_reason():
+    assert set(VERDICTS) == set(Reason)
+    for reason, (citations, phrase) in VERDICTS.items():
+        assert citations and all(isinstance(c, str) for c in citations), reason
+        dims = frozenset() if phrase else frozenset({4})
+        assert AsphericityVerdict(reason, dims, False, None).aspherical == (phrase is None), reason
+    accepted = {reason for reason, (_, phrase) in VERDICTS.items() if phrase is None}
+    assert accepted == {Reason.IS_Z2, Reason.RANK_AT_LEAST_4}
+
+
+def test_realizable_dimensions_nonempty_exactly_when_accepted():
+    for m in range(10):
+        for torsion in ((), (2,), (3, 6)):
+            gamma = FgAbelian(m, torsion)
+            accepted = VERDICTS[classify_reason(gamma)][1] is None
+            assert accepted == ((m == 2 and not torsion) or m >= 4), gamma
+            assert bool(realizable_dimensions(gamma)) == accepted, gamma
 
 
 def test_realizable_dimensions_examples():

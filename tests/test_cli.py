@@ -749,6 +749,28 @@ def test_golden_stdout(capsys, argv, code, text_sha, json_sha):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
 
+def test_refusal_messages_match_the_golden_witness_reports():
+    # The refusing rows of _GOLDEN, rebuilt from each `NotAspherical`
+    # message, which `asphericity.VERDICTS` spells; one row per refusal.
+    refused = set()
+    for argv, code, text_sha, json_sha in _GOLDEN:
+        if argv[0] != "witness" or code != 3:
+            continue
+        gamma = parse_group_spec(argv[1])
+        with pytest.raises(fibersum.NotAspherical) as exc:
+            fibersum.witness_presentation(gamma)
+        reason, error = exc.value.reason, str(exc.value)
+        refused.add(reason)
+        text = f"group: {gamma.render()}\naspherical: false\nreason: {reason.value}\nerror: {error}\n"
+        payload = {
+            "schema_version": 1, "command": "witness", "group": gamma.render(),
+            "aspherical": False, "reason": reason.value, "error": error,
+        }
+        for out, digest in ((text, text_sha), (json.dumps(payload, indent=2) + "\n", json_sha)):
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+    assert refused == {r for r, (_, phrase) in asphericity.VERDICTS.items() if phrase}
+
+
 _MATRIX_4X4 = "2 4 4 -6\n-6 6 12 10\n10 -4 -16 8\n3 0 7 -5\n"
 
 
@@ -951,9 +973,10 @@ def test_homology_of_large_orders_over_the_weighed_limit_exits_2_before_any_summ
 
 def test_homology_of_large_orders_at_the_largest_accepted_degree_in_bounded_time(capsys):
     # Degree 4 is the largest the weighed limit accepts for 16 copies: its
-    # 4012 summands print 17 MB in about 1.2 s, under the limit's 2 s aim.
+    # 4012 summands print 17 MB.  `render` converts each run of equal
+    # orders to decimal once; one conversion per summand took about 1.2 s.
     best, code, out, _ = _best_of_3(capsys, "homology", _LARGE_16, "4")
-    assert best < 2.0
+    assert best < 0.5
     assert code == 0
     assert out.count(f"Z/{_LARGE_ORDER}") == 16 + 4012  # the group line, then H_0..H_4
 
@@ -973,7 +996,8 @@ def test_homology_weighs_each_chain_member_by_its_own_bits(capsys):
 
 def test_witness_of_rank_40_in_bounded_time(capsys):
     # A dense Smith form of the whole 1129 x 156 relator matrix took about
-    # a second; the presolve eliminates every relator and leaves no core.
+    # a second; the sparse Euclidean stage of the cokernel splits off every
+    # summand, and no Smith elimination runs.
     start = time.perf_counter()
     code, out, _ = run(capsys, "witness", "Z^40")
     assert time.perf_counter() - start < 1.0

@@ -8,7 +8,8 @@ cokernel matrices rich in exactly those rows, sparse lattices with no
 unit entry (the seeded sweeps of `tests/cokernel_differential.py`,
 two-term fibration files and banded lattices), the relator lattices the
 CLI abelianizes, and dense matrices, which the sparse stage now takes
-to the end as well.
+to the end as well.  The tests named for a presolve keep the name of the
+unit-only stage that the Euclidean one replaced.
 """
 
 import math

@@ -2,9 +2,10 @@
 
 `render_presentation` makes the generator-name tables once and shares
 the run-collapsing loop with `render_word`; `abelianization` drops zero
-exponent rows before the presolve.  Both must give what the per-word
-paths give: the `group`/`gens` lines plus `rel {render_word(r)}` for
-each relator, and the dense cokernel of the relator matrix.
+exponent rows before the cokernel's sparse stage.  Both must give what
+the per-word paths give: the `group`/`gens` lines plus
+`rel {render_word(r)}` for each relator, and the dense cokernel of the
+relator matrix.
 """
 
 import itertools

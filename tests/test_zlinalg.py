@@ -191,6 +191,25 @@ def test_fgabelian_render():
     assert FgAbelian(0, (2, 4)).render() == "Z/2 + Z/4"
 
 
+def test_fgabelian_render_prints_a_run_of_equal_orders_like_its_summands():
+    # `render` converts an order to decimal once per run of equal orders.
+    big = 2**1000
+    for gamma in (
+        FgAbelian(0),
+        FgAbelian(1),
+        FgAbelian(9),
+        FgAbelian(0, (7,)),
+        FgAbelian(3, (big,)),
+        FgAbelian(0, (2,) * 5),
+        FgAbelian(1, (big,) * 3),
+        FgAbelian(2, (2, 2, 6, 6, 6, 6 * big, 6 * big, 12 * big)),
+        FgAbelian(5, (3, 3, 9, 9 * big)),
+    ):
+        free = ["Z"] if gamma.free_rank == 1 else [f"Z^{gamma.free_rank}"] if gamma.free_rank else []
+        expected = " + ".join(free + [f"Z/{d}" for d in gamma.torsion]) or "0"
+        assert gamma.render() == expected, gamma
+
+
 def test_primary_decomposition():
     assert primary_decomposition(FgAbelian(0, (6,))) == {2: (1,), 3: (1,)}
     assert primary_decomposition(FgAbelian(0, (2, 4))) == {2: (2, 1)}
