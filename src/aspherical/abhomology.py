@@ -12,8 +12,10 @@ Every order the fold makes is a member of g's divisor chain: d itself
 (from a free summand of H_i(A)), or gcd(x, d) = x for an earlier member
 x, which divides d.  So a torsion summand Z/x of H_i(A) passes into
 degree n once for each i <= n, and the fresh copies of Z/d in degree n
-number C(m, n-1) + C(m, n-3) + ...  Each fold is then a prefix sum over
-the degrees, and each degree's summands, laid out in ascending order,
+number C(m, n-1) + C(m, n-3) + ...  So d_j's counts are the fresh ones
+summed over the degrees t - j times: walking the chain down from d_t,
+one row carries them, one prefix sum per member, and equal members
+share a column.  Each degree's summands, laid out in ascending order,
 already are its invariant factors: nothing is normalised.
 
 The number c_n of invariant factors of H_n(g) has a closed form.  Take a
@@ -63,36 +65,13 @@ def invariant_factor_counts(m: int, t: int, top: int) -> list[int]:
     return counts
 
 
-# A counted group: (free rank, {order: multiplicity}) with every order >= 2.
-Counted = tuple[int, dict[int, int]]
-
-
-def _counted(g: FgAbelian) -> Counted:
-    return g.free_rank, dict(Counter(g.torsion))
-
-
-def _add_tor(acc: dict[int, int], a: Counted, b: Counted) -> None:
-    """Add Tor(a, b), which is also the torsion-by-torsion part of a (x) b,
-    to the counts in acc: Z/m with Z/n gives Z/gcd(m,n)."""
-    for x, m in a[1].items():
-        for y, n in b[1].items():
-            g = math.gcd(x, y)
-            if g > 1:
-                acc[g] = acc.get(g, 0) + m * n
-
-
-def _add_tensor(acc: dict[int, int], a: Counted, b: Counted) -> int:
-    """Add the torsion of a (x) b to acc and return its free rank:
-    Z (x) Z = Z and Z (x) Z/n = Z/n, plus the torsion-by-torsion part."""
-    (free_a, tors_a), (free_b, tors_b) = a, b
-    if free_b:
-        for x, m in tors_a.items():
-            acc[x] = acc.get(x, 0) + free_b * m
-    if free_a:
-        for y, n in tors_b.items():
-            acc[y] = acc.get(y, 0) + free_a * n
-    _add_tor(acc, a, b)
-    return free_a * free_b
+def _add_tor(acc: Counter[int], a: Counter[int], b: Counter[int]) -> None:
+    """Add Tor(a, b) of two torsion counts, which is also the torsion-by-torsion
+    part of their tensor product, to acc: Z/m with Z/n gives Z/gcd(m,n)."""
+    for x, m in a.items():
+        for y, n in b.items():
+            if (g := math.gcd(x, y)) > 1:
+                acc[g] += m * n
 
 
 def tensor(a: FgAbelian, b: FgAbelian) -> FgAbelian:
@@ -103,31 +82,34 @@ def tensor(a: FgAbelian, b: FgAbelian) -> FgAbelian:
     >>> print(tensor(FgAbelian(0, (4,)), FgAbelian(0, (6,))).render())
     Z/2
     """
-    acc: dict[int, int] = {}
-    free = _add_tensor(acc, _counted(a), _counted(b))
-    return FgAbelian.from_counts(free, acc)
+    return kunneth((a,), (b,), 0)
 
 
 def tor(a: FgAbelian, b: FgAbelian) -> FgAbelian:
-    """Tor(Z, anything) = 0 and Tor(Z/m, Z/n) = Z/gcd(m,n), extended additively."""
-    acc: dict[int, int] = {}
-    _add_tor(acc, _counted(a), _counted(b))
-    return FgAbelian.from_counts(0, acc)
+    """Tor(Z, anything) = 0 and Tor(Z/m, Z/n) = Z/gcd(m,n), extended additively:
+    degree 1 of a product whose factors have H_0 = a and b and H_1 = 0."""
+    return kunneth((a, FgAbelian(0)), (b, FgAbelian(0)), 1)
 
 
 def kunneth(ha: tuple[FgAbelian, ...], hb: tuple[FgAbelian, ...], n: int) -> FgAbelian:
     """Degree-n homology of a product from the factors' graded homology,
-    each a tuple of groups indexed by degree."""
+    each a tuple of groups indexed by degree: the sum of H_i(a) (x) H_{n-i}(b)
+    and of Tor(H_i(a), H_{n-1-i}(b))."""
     if len(ha) <= n or len(hb) <= n:
         raise InsufficientDegrees(
             f"need degrees through {n}, have {len(ha) - 1} and {len(hb) - 1}"
         )
-    a = [_counted(g) for g in ha[: n + 1]]
-    b = [_counted(g) for g in hb[: n + 1]]
-    acc: dict[int, int] = {}
+    a = [Counter(g.torsion) for g in ha[: n + 1]]
+    b = [Counter(g.torsion) for g in hb[: n + 1]]
+    acc: Counter[int] = Counter()
     free = 0
     for i in range(n + 1):
-        free += _add_tensor(acc, a[i], b[n - i])
+        free_a, free_b = ha[i].free_rank, hb[n - i].free_rank
+        free += free_a * free_b
+        for tors, rank in ((a[i], free_b), (b[n - i], free_a)):
+            if rank:  # Z^rank (x) Z/x = (Z/x)^rank
+                acc.update({x: rank * count for x, count in tors.items()})
+        _add_tor(acc, a[i], b[n - i])
     for i in range(n):
         _add_tor(acc, a[i], b[n - 1 - i])
     return FgAbelian.from_counts(free, acc)
@@ -135,8 +117,8 @@ def kunneth(ha: tuple[FgAbelian, ...], hb: tuple[FgAbelian, ...], n: int) -> FgA
 
 def group_homology_graded(g: FgAbelian, max_degree: int) -> tuple[FgAbelian, ...]:
     """H_0..H_max of g, indexed by degree: Z^C(m,k) for the free part,
-    then, unless g is free, one prefix sum over the degrees per invariant
-    factor (see the module docstring).
+    then, unless g is free, one prefix sum over the degrees per chain
+    member (see the module docstring).
 
     Rejected up front when its invariant factors, each weighed 1 + bits // 89,
     weigh over _MAX_HOMOLOGY_SUMMANDS.  Members from chain position i on make
@@ -153,15 +135,15 @@ def group_homology_graded(g: FgAbelian, max_degree: int) -> tuple[FgAbelian, ...
     free = [math.comb(m, k) for k in range(max_degree + 1)]
     if not g.torsion:
         return tuple(map(FgAbelian, free))
-    # fresh[n] = C(m, n-1) + C(m, n-3) + ..., the new copies of Z/d in degree n
-    fresh = [0] + [sum(free[n::-2]) for n in range(max_degree)]
-    columns: dict[int, list[int]] = {}  # chain member -> its count in each degree
-    for d in g.torsion:
-        columns = {x: list(accumulate(col)) for x, col in columns.items()}
-        columns[d] = [a + b for a, b in zip(columns.get(d, repeat(0)), fresh)]
+    # row[n] starts as C(m, n-1) + C(m, n-3) + ..., the fresh copies of Z/d in degree n
+    row = [0] + [sum(free[n::-2]) for n in range(max_degree)]
+    columns: dict[int, list[int]] = {}  # chain member -> its count in each degree, last first
+    for d in reversed(g.torsion):
+        columns[d] = [a + b for a, b in zip(columns.get(d, repeat(0)), row)]
+        row = list(accumulate(row))
     groups = []
     for n, rank in enumerate(free):
-        torsion = chain.from_iterable(repeat(x, col[n]) for x, col in columns.items())
+        torsion = chain.from_iterable(repeat(x, col[n]) for x, col in reversed(columns.items()))
         groups.append(FgAbelian(rank, tuple(torsion)))
     return tuple(groups)
 

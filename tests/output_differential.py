@@ -9,8 +9,11 @@ and on the banded files of `tests/oracles.py` at genus 10 and 40; and
 on dense presentation files of 20 and 40 generators, whose lattices the
 sparse stage of `zlinalg.cokernel` takes to the end; and `classify`,
 `witness` and `homology` (through degree 5) on a fixed list of group
-specs: one per verdict of `asphericity.Reason`, and one with repeated
+specs: one per verdict of `asphericity.Reason`; one with repeated
 orders of 302 digits, far past the benchmark's orders of under 35 bits;
+and divisor chains longer than the benchmark's four members: Z^2 plus
+Z/2 + Z/4 + ... + Z/2^10, Z^2 plus 12 copies of Z/6 then Z/12 + Z/24,
+and Z/2 + Z/4 + ... + Z/2^300, whose homology the summand limit refuses;
 all in text and in JSON, through the `aspherical.cli` of this tree and
 through that of OTHER_TREE, and compares the exit code, stdout and
 stderr of each run.  Exits 1 naming the runs that differ, 0 when none
@@ -48,9 +51,14 @@ FORMATS = ("text", "json")
 FIBRATION_GENERA = (3, 8, 16)
 BANDED_GENERA = (10, 40)
 DENSE_GENERATORS = (20, 40)
-# (run label, group spec): one group per verdict, then repeated large orders.
+# (run label, group spec): one group per verdict, then repeated large
+# orders, then long divisor chains: distinct members, a run of equal ones,
+# and one that the summand limit refuses.
 GROUP_SPECS = [(spec, spec) for spec in ("0", "Z", "Z^2", "Z^2+Z/2", "Z^3", "Z^4", "Z^4+Z/2")] + [
     ("Z^2+Z/6+3*Z/2^1000", "Z^2+Z/6+" + "+".join([f"Z/{2**1000}"] * 3)),
+    ("Z^2+Z/2+...+Z/2^10", "Z^2+" + "+".join(f"Z/{2**i}" for i in range(1, 11))),
+    ("Z^2+12*Z/6+Z/12+Z/24", "Z^2+" + "+".join(["Z/6"] * 12 + ["Z/12", "Z/24"])),
+    ("Z/2+...+Z/2^300", "+".join(f"Z/{2**i}" for i in range(1, 301))),
 ]
 
 

@@ -3,7 +3,17 @@ import random
 
 import pytest
 
-from oracles import InvalidModulus, graded_cyclic, homology_cyclic, oracle_group_homology
+from oracles import (
+    InvalidModulus,
+    _reference_tensor,
+    _reference_tor,
+    graded_cyclic,
+    homology_cyclic,
+    oracle_group_homology,
+    reference_group_homology_graded,
+    reference_kunneth,
+    torsion_chains,
+)
 from aspherical.abhomology import (
     InsufficientDegrees,
     factor_homology_sum,
@@ -70,6 +80,29 @@ def test_tor_symmetric_random():
         a = C(*(rng.choice([0, 2, 3, 4, 6]) for _ in range(rng.randrange(4))))
         b = C(*(rng.choice([0, 2, 3, 4, 6]) for _ in range(rng.randrange(4))))
         assert tor(a, b) == tor(b, a)
+
+
+def test_tensor_and_tor_against_the_oracles():
+    # Both are cases of `kunneth`: degree 0 of the product, and degree 1
+    # of a product whose factors have no H_1.
+    rng = random.Random(406)
+    chains = torsion_chains(32)
+    for _ in range(2000):
+        a, b = (FgAbelian(rng.randrange(3), rng.choice(chains)) for _ in range(2))
+        assert tensor(a, b) == _reference_tensor(a, b), (a, b)
+        assert tor(a, b) == _reference_tor(a, b), (a, b)
+
+
+def test_kunneth_against_the_oracle():
+    rng = random.Random(407)
+    pool = [graded_cyclic(n, 4) for n in (0, 1, 2, 3, 4, 6, 12)]
+    for _ in range(8):
+        orders = [rng.choice([0, 2, 3, 4, 6, 8, 9]) for _ in range(rng.randrange(1, 4))]
+        pool.append(tuple(reference_group_homology_graded(orders, 4)))
+    for ha in pool:
+        for hb in pool:
+            for n in range(5):
+                assert kunneth(ha, hb, n) == reference_kunneth(ha, hb, n), (ha, hb, n)
 
 
 def test_kunneth_z_times_z2():

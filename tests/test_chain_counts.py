@@ -9,12 +9,14 @@ is one group instead of a fold of direct sums.  Each is checked on
 seeded divisor chains (free rank <= 8, at most 5 invariant factors, with
 mixed chains such as 6 | 30 | 210 | 420) against the factorising,
 tuple-spelled Kunneth fold of `tests/oracles.py`, and the fold also
-against homology of explicit chain complexes.
+against homology of explicit chain complexes, on runs of equal members,
+and for its cost: one prefix sum per chain member.
 """
 
 import math
 import random
 from functools import cache
+from itertools import accumulate
 
 from oracles import (
     homology_cyclic,
@@ -23,6 +25,7 @@ from oracles import (
     reference_group_homology_graded,
     reference_times_cyclic,
 )
+from aspherical import abhomology
 from aspherical.abhomology import (
     factor_homology_sum,
     group_homology_graded,
@@ -107,3 +110,24 @@ def test_counts_of_free_groups_and_single_factors():
         # Z^m + Z/d: H_n gets C(m, n-1) + C(m, n-3) + ... copies of Z/d
         expected = [sum(math.comb(m, i) for i in range(n - 1, -1, -2)) for n in range(9)]
         assert invariant_factor_counts(m, 1, TOP_DEGREE) == expected
+
+
+def test_fold_makes_one_prefix_sum_per_chain_member(monkeypatch):
+    # A fold that sums every earlier member's column again at each new
+    # member makes t(t - 1)/2 = 780 prefix sums for this chain of 40.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return accumulate(*args)
+
+    monkeypatch.setattr(abhomology, "accumulate", counted)
+    graded = group_homology_graded(FgAbelian(2, tuple(2**i for i in range(1, 41))), 3)
+    assert len(calls) == 40
+    assert [len(h.torsion) for h in graded] == invariant_factor_counts(2, 40, 3)
+    # Runs of equal members share a column, and still cost one sum each.
+    for m, chain in ((0, (3, 3, 3, 3)), (1, (2, 2, 2, 6, 6, 12)), (3, (2, 4, 4, 8, 8, 8))):
+        calls.clear()
+        reference = reference_group_homology_graded((0,) * m + chain, 6)
+        assert list(group_homology_graded(FgAbelian(m, chain), 6)) == reference, (m, chain)
+        assert len(calls) == len(chain)

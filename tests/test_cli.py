@@ -26,6 +26,7 @@ from aspherical.limits import (
     _MAX_FIBER_GENUS,
     _MAX_FREE_RANK,
     _MAX_GENUS_PRODUCT,
+    _MAX_HOMOLOGY_DEGREE,
     _MAX_HOMOLOGY_SUMMANDS,
     _MAX_PARSED_LETTERS,
     _MAX_TORSION_BITS,
@@ -186,7 +187,31 @@ def test_global_max_degree_is_refused(capsys):
 
 
 def test_homology_degree_cap(capsys):
-    assert run(capsys, "homology", "Z^2", "9")[0] == 2
+    code, out, _ = run(capsys, "homology", "Z^2", str(_MAX_HOMOLOGY_DEGREE))
+    assert code == 0
+    assert f"max_degree: {_MAX_HOMOLOGY_DEGREE}\n" in out
+    assert f"H_{_MAX_HOMOLOGY_DEGREE} = 0\n" in out
+    code, out, err = run(capsys, "homology", "Z^2", str(_MAX_HOMOLOGY_DEGREE + 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: max degree must be between 0 and {_MAX_HOMOLOGY_DEGREE}\n"
+
+
+def test_homology_summand_limit_at_its_boundary(capsys, monkeypatch):
+    # Z^2 + Z/2 + Z/2^100 + Z/2^200 through degree 4: its summands of 1,
+    # 101 and 201 bits weigh 1, 2 and 3.  The limit is read where the
+    # weight is checked, so patching it there moves the boundary.
+    spec, degree = f"Z^2+Z/2+Z/{2**100}+Z/{2**200}", 4
+    graded = abhomology.group_homology_graded(parse_group_spec(spec), degree)
+    weight = sum(1 + d.bit_length() // 89 for h in graded for d in h.torsion)
+    monkeypatch.setattr(abhomology, "_MAX_HOMOLOGY_SUMMANDS", weight)
+    code, out, _ = run(capsys, "homology", spec, str(degree))
+    assert code == 0
+    assert f"H_{degree} = {graded[degree].render()}\n" in out
+    monkeypatch.setattr(abhomology, "_MAX_HOMOLOGY_SUMMANDS", weight - 1)
+    code, out, err = run(capsys, "homology", spec, str(degree))
+    assert (code, out) == (2, "")
+    assert err == (f"error: homology through degree {degree} has torsion summands weighing "
+                   f"{weight} by their bits, over the limit of {weight - 1}\n")
 
 
 def test_witness_z2(capsys):

@@ -28,12 +28,11 @@ _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 # (module, qualified name) of functions no command reaches and the
 # tracer does not bind, with who needs them.
 KEPT_FOR_TESTS = {
-    # Helpers of names the tracer pins (`kunneth`, `tensor`, `tor`,
-    # `presentation_chain_for`, `free_product`, `primary_decomposition`);
-    # they go with those names once the benchmark stops binding them.
-    ("abhomology", "_add_tensor"),
+    # Helpers of names the tracer pins: `kunneth` (which `tensor` and `tor`
+    # call), `presentation_chain_for`, `free_product` and
+    # `primary_decomposition`.  They go with those names once the
+    # benchmark stops binding them.
     ("abhomology", "_add_tor"),
-    ("abhomology", "_counted"),
     ("fibersum", "presentation_chain_for.<locals>.tgt"),
     ("fpgroup", "_rebind"),
     ("zlinalg", "_factorize"),
