@@ -400,19 +400,6 @@ def _base_exponents(b: int, counts: Mapping[int, int]) -> dict[int, int]:
     return out
 
 
-def _shared_base_exponents(a: "FgAbelian", b: "FgAbelian"):
-    """For each element q of a coprime base of both groups' invariant
-    factors, the exponents of q in a's factors and in b's.
-
-    A prime p dividing q divides every factor to v_p(q) times q's
-    exponent, so a per-prime criterion on exponents can be applied to
-    each q in place of each prime without factoring anything.
-    """
-    mine, theirs = Counter(a.torsion), Counter(b.torsion)
-    for q in _coprime_base(mine.keys() | theirs.keys()):
-        yield _base_exponents(q, mine), _base_exponents(q, theirs)
-
-
 def _chain_from_counts(counts: Mapping[int, int]) -> tuple[int, ...]:
     """Invariant factors of the sum of counts[d] copies of Z/d.
 
@@ -518,7 +505,9 @@ class FgAbelian(_Value):
             return False
         if not other.torsion:
             return True
-        for have, need in _shared_base_exponents(self, other):
+        mine, theirs = Counter(self.torsion), Counter(other.torsion)
+        for q in _coprime_base(mine.keys() | theirs.keys()):
+            have, need = _base_exponents(q, mine), _base_exponents(q, theirs)
             if any(have.get(e, 0) < m for e, m in need.items()):
                 return False
         return True
@@ -680,7 +669,9 @@ def exists_epimorphism(a: FgAbelian, b: FgAbelian) -> bool:
     if not a.torsion:
         # Z^n maps onto b exactly when b needs at most n generators.
         return a.free_rank >= b.free_rank + len(b.torsion)
-    for exps_a, exps_b in _shared_base_exponents(a, b):
+    mine, theirs = Counter(a.torsion), Counter(b.torsion)
+    for q in _coprime_base(mine.keys() | theirs.keys()):
+        exps_a, exps_b = _base_exponents(q, mine), _base_exponents(q, theirs)
         if not exps_b:
             continue
         top = max(exps_b)

@@ -8,17 +8,20 @@ and on the banded files of `tests/oracles.py` at genus 10 and 40; and
 `fibersum -e 1` on the banded presentation files at genus 10 and 40 and
 on dense presentation files of 20 and 40 generators, whose lattices the
 sparse stage of `zlinalg.cokernel` takes to the end; and `classify`,
-`witness` and `homology` (through degree 5) on a fixed list of group
-specs: one per verdict of `asphericity.Reason`; one with repeated
-orders of 302 digits, far past the benchmark's orders of under 35 bits;
-and divisor chains longer than the benchmark's four members: Z^2 plus
+`witness` and `homology` (through degrees 0, 1 and 5, so that both
+values of `contains_factor_homology_sum` print, where the benchmark's
+degrees of 2 and more print only `true`) on a fixed list of group specs:
+one per verdict of `asphericity.Reason`; one with repeated orders of 302
+digits, far past the benchmark's orders of under 35 bits; and divisor
+chains longer than the benchmark's four members: Z^2 plus
 Z/2 + Z/4 + ... + Z/2^10, Z^2 plus 12 copies of Z/6 then Z/12 + Z/24,
-and Z/2 + Z/4 + ... + Z/2^300, whose homology the summand limit refuses;
-all in text and in JSON, through the `aspherical.cli` of this tree and
-through that of OTHER_TREE, and compares the exit code, stdout and
-stderr of each run.  Exits 1 naming the runs that differ, 0 when none
-does: a change that keeps the README's byte-identical output contract
-passes against its base commit.
+and Z/2 + Z/4 + ... + Z/2^300 and Z/2 + Z/4 + ... + Z/2^900, whose
+homology through degree 5 the summand limit refuses; all in text and
+in JSON, through the `aspherical.cli` of this tree and through that of
+OTHER_TREE, and compares the exit code, stdout and stderr of each run.
+Exits 1 naming the runs that differ, 0 when none does: a change that
+keeps the README's byte-identical output contract passes against its
+base commit.
 
 Each tree runs in a child process of its own, which imports that tree's
 package.  Both children take the ops from this tree's `perfbench/`,
@@ -53,13 +56,15 @@ BANDED_GENERA = (10, 40)
 DENSE_GENERATORS = (20, 40)
 # (run label, group spec): one group per verdict, then repeated large
 # orders, then long divisor chains: distinct members, a run of equal ones,
-# and one that the summand limit refuses.
+# and two whose homology through degree 5 the summand limit refuses.
 GROUP_SPECS = [(spec, spec) for spec in ("0", "Z", "Z^2", "Z^2+Z/2", "Z^3", "Z^4", "Z^4+Z/2")] + [
     ("Z^2+Z/6+3*Z/2^1000", "Z^2+Z/6+" + "+".join([f"Z/{2**1000}"] * 3)),
     ("Z^2+Z/2+...+Z/2^10", "Z^2+" + "+".join(f"Z/{2**i}" for i in range(1, 11))),
     ("Z^2+12*Z/6+Z/12+Z/24", "Z^2+" + "+".join(["Z/6"] * 12 + ["Z/12", "Z/24"])),
     ("Z/2+...+Z/2^300", "+".join(f"Z/{2**i}" for i in range(1, 301))),
+    ("Z/2+...+Z/2^900", "+".join(f"Z/{2**i}" for i in range(1, 901))),
 ]
+HOMOLOGY_DEGREES = ("0", "1", "5")
 
 
 def write_files(directory: Path) -> None:
@@ -114,8 +119,10 @@ def run_tree(tree: Path, workdir: Path, files: Path) -> list[list]:
     for path in sorted((files / "fibersum").iterdir()):
         run(f"fibersum -e 1 {path.name}", ("fibersum", str(path), "-e", "1"))
     for label, spec in GROUP_SPECS:
-        for command in (("classify", spec), ("witness", spec), ("homology", spec, "5")):
-            run(f"{command[0]} {label}", command)
+        run(f"classify {label}", ("classify", spec))
+        run(f"witness {label}", ("witness", spec))
+        for degree in HOMOLOGY_DEGREES:
+            run(f"homology {label} {degree}", ("homology", spec, degree))
     return rows
 
 

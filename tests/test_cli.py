@@ -416,6 +416,34 @@ def test_constructions_over_their_limits_exit_2_before_any_work(capsys, tmp_path
     assert f"limit of {_MAX_FIBER_GENUS}" in err
 
 
+def test_constructions_at_their_limits_are_accepted(capsys, tmp_path):
+    # The largest input each construction limit accepts runs to exit 0;
+    # the test above takes each one step further.  Each runs under 0.4 s.
+    at = (
+        f"Z^{_MAX_WITNESS_GENERATORS}",
+        f"Z^{_MAX_WITNESS_GENERATORS - 2}+Z/2+Z/2",
+        f"Z^4+Z/{_MAX_PARSED_LETTERS}",
+    )
+    for spec in at:
+        code, out, err = run(capsys, "witness", spec)
+        assert (code, err) == (0, ""), spec
+        assert "abelianization_check: PASS" in out, spec
+
+    fibered = tmp_path / "x.txt"
+    for f, e in ((16, _MAX_BASE_GENUS), (29, _MAX_GENUS_PRODUCT // 29)):
+        assert f * e <= _MAX_GENUS_PRODUCT and e <= _MAX_BASE_GENUS
+        fibered.write_text(_surface_file(f))
+        code, out, err = run(capsys, "fibersum", str(fibered), "-e", str(e))
+        assert (code, err) == (0, ""), (f, e)
+        assert f"base_genus: {e}\n" in out, (f, e)
+
+    fibration = tmp_path / "fib.txt"
+    fibration.write_text(f"fibration big\nfiber_genus {_MAX_FIBER_GENUS}\ncycle + a1\n")
+    code, out, err = run(capsys, "fibration", str(fibration))
+    assert (code, err) == (0, "")
+    assert f"fiber_genus: {_MAX_FIBER_GENUS}\n" in out
+
+
 def _no_twist_loop(*args):
     raise AssertionError("an over-limit file reached the twist loop")
 
@@ -1017,6 +1045,37 @@ def test_homology_weighs_each_chain_member_by_its_own_bits(capsys):
         small = terms.count("Z/2")  # the group line's one-bit terms, then H_0..H_8
         assert out.count(f"Z/{_LARGE_ORDER}") == (16 - small) + large
         assert out.count("Z/2 ") + out.count("Z/2\n") == small + 548590 - large
+
+
+def _no_coprime_base(*args):
+    raise AssertionError("homology of a divisor chain built a coprime base")
+
+
+def test_homology_of_a_divisor_chain_builds_no_coprime_base(capsys, monkeypatch):
+    # `contains_factor_homology_sum` is read off the Kunneth splitting: the
+    # factors' sum is a direct summand of H_k for k >= 1, and of H_0 only
+    # without torsion.  The coprime base `contains_summand` builds is
+    # quadratic in the distinct orders: about 21 s for Z/2 + ... + Z/2^4096
+    # at degree 1, where the fold and the printing take about 0.16 s.
+    monkeypatch.setattr(zlinalg, "_coprime_base", _no_coprime_base)
+    chain = "+".join(f"Z/{2**i}" for i in range(1, _MAX_TORSION_ORDERS + 1))
+    runs = [(spec, degree)
+            for spec in ("Z/2", "Z/3+Z/9+Z/9", "Z^2+Z/2+Z/6", "Z^4+Z/2+Z/6+Z/30")
+            for degree in range(_MAX_HOMOLOGY_DEGREE + 1)]
+    runs += [(chain, degree) for degree in range(3)]
+    for spec, degree in runs:
+        start = time.perf_counter()
+        code, out, err = run(capsys, "homology", spec, str(degree))
+        seconds = time.perf_counter() - start
+        if code == 2:
+            assert degree >= 2, (spec[:20], degree)
+            assert "by their bits, over the limit of" in err, (spec[:20], degree)
+            continue
+        assert code == 0, (spec[:20], degree)
+        contained = "false" if degree == 0 else "true"
+        assert out.endswith(f"contains_factor_homology_sum: {contained}\n"), (spec[:20], degree)
+        if spec == chain and degree == 1:
+            assert seconds < 2.0
 
 
 def test_witness_of_rank_40_in_bounded_time(capsys):

@@ -42,7 +42,10 @@ def test_homology_sweep_matches_reference():
             assert list(graded) == reference, g
             for k, h in enumerate(graded):
                 summand = factor_homology_sum(g, k)
-                assert h.contains_summand(summand) == reference_contains_summand(h, summand)
+                contained = reference_contains_summand(h, summand)
+                # The closed form `homology` prints: the Kunneth splitting.
+                assert (k > 0 or not chain) == contained, (g, k)
+                assert h.contains_summand(summand) == contained
                 assert summand.contains_summand(h) == reference_contains_summand(summand, h)
             free = FgAbelian(rank)
             assert exists_epimorphism(free, graded[3]) == reference_exists_epimorphism(

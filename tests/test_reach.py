@@ -122,6 +122,7 @@ def _runs(tmp: Path) -> list[tuple[list[str], int]]:
     return [
         (["classify", "Z^4+Z/2"], 0),
         (["classify", "Z^4"], 0),
+        (["classify", "Z^4+Z/4+Z/6"], 0),  # not a divisor chain: the coprime base
         (["classify", "Z^3"], 3),
         (["classify", "Z^2+Z/3"], 3),
         (["classify", "Z/2+Q"], 2),
