@@ -74,7 +74,7 @@ def fiber_sum_with_trivial_bundle(p: Presentation, e: int) -> Presentation:
         )
     gens = p.generators + surface_generators(e, "xy")
     fiber_relators = {id(w): w for w in p.relators}
-    rebound = {k: Word(gens, w.letters) for k, w in fiber_relators.items()}
+    rebound = {k: Word(gens, w.syllables) for k, w in fiber_relators.items()}
     first, *extra = [rebound[id(r)] for r in p.relators]
     return Presentation(gens, _fiber_sum_relators(gens, f, e, first, extra))
 
@@ -182,7 +182,7 @@ def witness_presentation(gamma: FgAbelian) -> Presentation:
         for j in range(i + 1, r):
             relators.append(Word(gens, ((2 * i, 1), (2 * j, 1), (2 * i, -1), (2 * j, -1))))
     for t, dt in enumerate(torsion):
-        relators.append(Word(gens, ((2 * (m_prime + t), 1),) * dt))
+        relators.append(Word(gens, ((2 * (m_prime + t), dt),)))
 
     fiber_relator = surface_relator(gens, 0, 2 * g)
     return Presentation(gens, _fiber_sum_relators(gens, g, 1, fiber_relator, relators), label=label)

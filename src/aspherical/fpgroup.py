@@ -23,13 +23,14 @@ import re
 from collections.abc import Callable, Iterable
 
 from . import zlinalg
+from .limits import _MAX_FILE_SYLLABLES
 from .word import (
     Word,
     _Value,
     _free_reduce,
     _inv,
     _quote,
-    _render_letters,
+    _render_syllables,
     cyclic_reduce,
     exponent_vector,
     parse_word,
@@ -69,7 +70,7 @@ class Presentation(_Value):
         for r in relators:
             if r.alphabet is not generators and r.alphabet != generators:
                 raise ValueError("relator over a different alphabet")
-            if r.letters and r.letters[0] == (r.letters[-1][0], -r.letters[-1][1]):
+            if (s := r.syllables) and s[0][0] == s[-1][0] and s[0][1] * s[-1][1] < 0:
                 raise ValueError(f"relator {render_word(r)!r} is not cyclically reduced")
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "relators", relators)
@@ -110,10 +111,10 @@ def apply_hom(f: GroupHom, w: Word) -> Word:
     """Substitute images generator-wise and freely reduce."""
     if w.alphabet != f.source.generators:
         raise ValueError("word over a different alphabet than the source")
-    letters: list[tuple[int, int]] = []
-    for i, s in w.letters:
-        letters += f.images[i].letters if s > 0 else _inv(f.images[i].letters)
-    return Word(f.target.generators, _free_reduce(letters))
+    syllables: list[tuple[int, int]] = []
+    for i, e in w.syllables:
+        syllables += (f.images[i].syllables if e > 0 else _inv(f.images[i].syllables)) * abs(e)
+    return Word(f.target.generators, _free_reduce(syllables))
 
 
 def compose(f: GroupHom, g: GroupHom) -> GroupHom:
@@ -134,11 +135,11 @@ def surface_generators(g: int, letters: str = "ab") -> tuple[str, ...]:
 def surface_relator(gens: tuple[str, ...], first: int = 0, stop: int | None = None) -> Word:
     """[a_1,b_1]...[a_g,b_g] over the generator pairs from index `first` up
     to `stop` (the end by default), laid out already reduced: neighbouring
-    letters name different generators."""
-    letters: list[tuple[int, int]] = []
+    syllables name different generators."""
+    syllables: list[tuple[int, int]] = []
     for i in range(first, len(gens) if stop is None else stop, 2):
-        letters += ((i, 1), (i + 1, 1), (i, -1), (i + 1, -1))
-    return Word(gens, tuple(letters))
+        syllables += ((i, 1), (i + 1, 1), (i, -1), (i + 1, -1))
+    return Word(gens, tuple(syllables))
 
 
 def surface_group(g: int) -> Presentation:
@@ -155,7 +156,7 @@ def surface_group(g: int) -> Presentation:
 
 
 def _rebind(w: Word, alphabet: tuple[str, ...], shift: int = 0) -> Word:
-    return Word(alphabet, tuple((i + shift, s) for i, s in w.letters))
+    return Word(alphabet, tuple((i + shift, e) for i, e in w.syllables))
 
 
 def free_product(p: Presentation, q: Presentation) -> Presentation:
@@ -201,7 +202,7 @@ def abelian_presentation(g: FgAbelian) -> Presentation:
         for j in range(i + 1, len(gens))
     ]
     for i, d in enumerate(g.torsion):
-        relators.append(Word(gens, ((g.free_rank + i, 1),) * d))
+        relators.append(Word(gens, ((g.free_rank + i, d),)))
     return Presentation(gens, tuple(relators), label=g.render())
 
 
@@ -233,7 +234,7 @@ def render_presentation(p: Presentation) -> str:
     for r in p.relators:
         line = rendered.get(id(r))
         if line is None:
-            line = rendered[id(r)] = "rel " + _render_letters(r.letters, names, inverses)
+            line = rendered[id(r)] = "rel " + _render_syllables(r.syllables, names, inverses)
         lines.append(line)
     return "\n".join(lines) + "\n"
 
@@ -269,10 +270,11 @@ def _read_word_file(
     (`alphabet_of` reads its rest; the names are indexed once), then
     `item` lines (`split` reads each rest as a tag and a word text;
     `parse_word`, given that index, parses a distinct word text once, and
-    it is cyclically reduced once).  Returns the label, alphabet, words
+    it is cyclically reduced once; the syllables are summed against
+    _MAX_FILE_SYLLABLES as it parses).  Returns the label, alphabet, words
     and tags; a ValueError on a line becomes a FormatError naming it."""
     label, alphabet, seen_header = None, None, False
-    words, tags, parsed = [], [], {}
+    words, tags, parsed, syllables = [], [], {}, 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         key, _, rest = raw.strip().partition(" ")
         rest = rest.strip()
@@ -280,7 +282,14 @@ def _read_word_file(
             if key == item and alphabet is not None:
                 tag, word_text = split(rest)
                 if word_text not in parsed:
-                    parsed[word_text] = cyclic_reduce(parse_word(word_text, alphabet, index))
+                    word = parse_word(word_text, alphabet, index)
+                    syllables += len(word.syllables)
+                    if syllables > _MAX_FILE_SYLLABLES:
+                        raise ValueError(
+                            f"the distinct {item} lines take {syllables} syllables, "
+                            f"over the limit of {_MAX_FILE_SYLLABLES}"
+                        )
+                    parsed[word_text] = cyclic_reduce(word)
                 words.append(parsed[word_text])
                 tags.append(tag)
             elif key == header and not seen_header:

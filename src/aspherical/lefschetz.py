@@ -23,7 +23,7 @@ from .fpgroup import (
     surface_relator,
 )
 from .limits import _MAX_FIBER_GENUS, _MAX_TWIST_WORK
-from .word import Word, _Value, _quote
+from .word import Word, _Value, _quote, exponent_sums
 from .zlinalg import DimensionMismatch, IntMatrix
 
 
@@ -68,7 +68,7 @@ def twist_matrix(c: tuple[int, ...], sign: int) -> IntMatrix:
 def monodromy_product(m: MonodromyFactorization) -> IntMatrix:
     """Composite action on H_1 of the fiber, first twist applied first.
 
-    A cycle's class c is read off its letters once, as the nonzero
+    A cycle's class c is read off its syllables once, as the nonzero
     (index, exponent sum) pairs, and so is the row Jc of x -> <x, c>: the
     pair (i, x) of c gives (i ^ 1, x) of Jc, negated when i is even.  A
     twist matrix is the identity plus the rank-one sign * c (Jc)^T, so it
@@ -89,10 +89,7 @@ def monodromy_product(m: MonodromyFactorization) -> IntMatrix:
     work = 0
     for cycle in m.cycles:
         if id(cycle) not in by_cycle:
-            sums: dict[int, int] = {}
-            for i, s in cycle.letters:
-                sums[i] = sums.get(i, 0) + s
-            c = [(i, x) for i, x in sums.items() if x]
+            c = [(i, x) for i, x in exponent_sums(cycle).items() if x]
             jc = [(i ^ 1, x if i & 1 else -x) for i, x in c]
             growth = max((abs(x) for _, x in c), default=0) * sum(abs(x) for _, x in c)
             by_cycle[id(cycle)] = c, jc, 2 * len(c) * n, growth.bit_length()

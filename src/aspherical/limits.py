@@ -1,10 +1,14 @@
 """Every input limit of the package, one constant each; the README's limits
 table lists them.  An input over one exits 2, naming the limit."""
 
-# Hard ceiling on letters a single parse may materialize: powers and
-# nested commutators multiply lengths, and an unbounded expansion turns a
-# short input into a denial of service.  Far above any realistic relator.
+# Hard ceiling on letters a single parse may expand to: powers and nested
+# commutators multiply lengths, and an unbounded expansion turns a short
+# input into a denial of service.  Far above any realistic relator.  Words
+# are (generator, exponent) syllables, 262,144 in (a1 b1)^131072, and a
+# file's distinct word lines are capped in syllables summed (the slowest
+# file at the cap measured, 32 lines of squares, takes 2.3 s and 115 MB).
 _MAX_PARSED_LETTERS = 1 << 18
+_MAX_FILE_SYLLABLES = 1 << 22
 
 # Ceilings on the constructions a short input can blow up, each set so
 # that the largest input accepted runs in about 2 s at most in-process.

@@ -1,9 +1,11 @@
 """Freely reduced words in a finite generating set.
 
 Words are the common currency for relators and vanishing cycles.  A word
-is stored as a sequence of signed letters over a fixed alphabet, a tuple
-of generator names, and is kept freely reduced at all times (no adjacent
-x x^-1 pair).  The text grammar, shared by relator files and the CLI, is
+is stored as (generator index, nonzero exponent) syllables, as in GAP's
+`ExtRepOfObj`, over a fixed alphabet, a tuple of generator names, and is
+kept freely reduced: neighbouring syllables name different generators,
+so a1^262144 is one syllable.  `exponent_sums` is the one reader of
+exponent sums.  The text grammar, shared by relator files and the CLI, is
 
     word    := "1" | factor+
     factor  := ident power? | "[" word "," word "]" power? | "(" word ")" power?
@@ -17,7 +19,7 @@ Names from outside, a presentation file's gens line, are checked against
 ident-shaped already.
 
 The parser, and every function here or in `fpgroup` and `fibersum` that
-makes a word, assembles the letters, freely reduces them once and
+makes a word, assembles the syllables, freely reduces them once and
 constructs (so validates) one `Word`, never a fold of intermediate words.
 
 Repeated relators and vanishing cycles are shared objects: a file's
@@ -79,92 +81,91 @@ class UnknownGenerator(ValueError):
 
 
 class Word(_Value):
-    """A freely reduced word: letters are (generator index, sign) pairs
-    over an alphabet, a tuple of generator names."""
+    """A freely reduced word: (generator index, nonzero exponent) syllables
+    over an alphabet, a tuple of generator names; neighbouring syllables
+    name different generators.  Its length is its count of letters."""
 
-    __slots__ = ("alphabet", "letters")
+    __slots__ = ("alphabet", "syllables")
 
-    def __init__(self, alphabet: tuple[str, ...], letters: tuple[tuple[int, int], ...]):
+    def __init__(self, alphabet: tuple[str, ...], syllables: tuple[tuple[int, int], ...]):
         n = len(alphabet)
-        pi = ps = None  # the previous letter
+        prev = None  # the previous syllable's generator
         k = 0  # counted by hand: enumerate made this loop a third slower
-        for i, s in letters:
+        for i, e in syllables:
             if not 0 <= i < n:
-                raise ValueError(f"letter {k} references generator {i} of {n}")
-            if s not in (1, -1):
-                raise ValueError(f"letter {k} has sign {s}")
-            if i == pi and s == -ps:
-                raise ValueError("word is not freely reduced")
-            pi, ps = i, s
+                raise ValueError(f"syllable {k} references generator {i} of {n}")
+            if not e:
+                raise ValueError(f"syllable {k} has exponent 0")
+            if i == prev:
+                raise ValueError(f"syllable {k} repeats generator {i}")
+            prev = i
             k += 1
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "syllables", syllables)
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return sum(abs(e) for _, e in self.syllables)
 
 
-def _free_reduce(letters: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+def _free_reduce(syllables: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     out: list[tuple[int, int]] = []
-    for i, s in letters:
-        if out and out[-1] == (i, -s):
-            out.pop()
+    for syllable in syllables:
+        i = syllable[0]
+        if out and out[-1][0] == i:
+            e = out.pop()[1] + syllable[1]
+            if e:
+                out.append((i, e))
         else:
-            out.append((i, s))
+            out.append(syllable)  # shared, not copied: a power's repeats are one object
     return tuple(out)
 
 
-def _inv(letters: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-    return [(i, -s) for i, s in reversed(letters)]
+def _inv(syllables: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    return [(i, -e) for i, e in reversed(syllables)]
 
 
 def cyclic_reduce(w: Word) -> Word:
-    """Strip mutually inverse first/last letters until none remain; the
-    cancelling pairs are counted first and cut off with one slice.  A word
-    with none is returned itself."""
-    letters = w.letters
-    k, last = 0, len(letters) - 1
-    while k < last - k and letters[k] == (letters[last - k][0], -letters[last - k][1]):
+    """Cancel opposite powers of one generator at the two ends until none
+    remain; the syllables that cancel whole are counted first and cut off
+    with one slice, and a partly cancelled end keeps the difference where
+    it was.  A word with none is returned itself."""
+    s = w.syllables
+    k, last = 0, len(s) - 1
+    while k < last - k and s[k][0] == s[last - k][0] and s[k][1] * s[last - k][1] < 0:
+        e = s[k][1] + s[last - k][1]
+        if e:
+            core, end = s[k + 1 : last - k], ((s[k][0], e),)
+            return Word(w.alphabet, end + core if e * s[k][1] > 0 else core + end)
         k += 1
-    return Word(w.alphabet, letters[k : len(letters) - k]) if k else w
+    return Word(w.alphabet, s[k : len(s) - k]) if k else w
+
+
+def exponent_sums(w: Word) -> dict[int, int]:
+    """Generator index -> exponent sum, in order of first occurrence; a sum may be 0."""
+    sums: dict[int, int] = {}
+    for i, e in w.syllables:
+        sums[i] = sums.get(i, 0) + e
+    return sums
 
 
 def exponent_vector(w: Word) -> tuple[int, ...]:
     """Exponent sums of w over its whole alphabet, in alphabet order."""
-    vec = [0] * len(w.alphabet)
-    for i, s in w.letters:
-        vec[i] += s
-    return tuple(vec)
+    sums = exponent_sums(w)
+    return tuple(sums.get(i, 0) for i in range(len(w.alphabet)))
 
 
 def render_word(w: Word) -> str:
-    """Render with runs collapsed into powers; the identity is "1"."""
-    names = w.alphabet
-    return _render_letters(w.letters, names, {i: f"{names[i]}^-1" for i, _ in set(w.letters)})
+    """Render each syllable as a power; the identity is "1"."""
+    return _render_syllables(w.syllables, w.alphabet, [f"{name}^-1" for name in w.alphabet])
 
 
-def _render_letters(
-    letters: tuple[tuple[int, int], ...],
-    names: Sequence[str] | Mapping[int, str],
-    inverses: Sequence[str] | Mapping[int, str],
+def _render_syllables(
+    syllables: tuple[tuple[int, int], ...], names: Sequence[str], inverses: Sequence[str]
 ) -> str:
-    """Runs of equal letters as powers, in one loop over the letters;
-    `names[i]` and `inverses[i]` spell generator i and its inverse."""
-    if not letters:
-        return "1"
-    parts: list[str] = []
-    run, n = letters[0], 0
-    for letter in (*letters, None):  # the sentinel closes the last run
-        if letter == run:
-            n += 1
-            continue
-        i, s = run
-        if n == 1:
-            parts.append(names[i] if s > 0 else inverses[i])
-        else:
-            parts.append(f"{names[i]}^{s * n}")
-        run, n = letter, 1
-    return " ".join(parts)
+    """`names[i]` and `inverses[i]` spell generator i and its inverse."""
+    return " ".join(
+        [names[i] if e == 1 else inverses[i] if e == -1 else f"{names[i]}^{e}" for i, e in syllables]
+    ) or "1"
 
 
 # --- parser ---------------------------------------------------------------
@@ -216,56 +217,57 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse_word(self, closers: tuple[str, ...]) -> list[tuple[int, int]]:
+    def parse_word(self, closers: tuple[str, ...]) -> tuple[list[tuple[int, int]], int]:
+        """The factors' syllables up to a closer, unreduced, and their letter count."""
         kind, value, at = self.peek()
         if kind == "number" and value == "1" and self.tokens[self.pos + 1][0] in closers:
             self.pos += 1
-            return []
-        letters = self.parse_factor()
+            return [], 0
+        syllables, letters = self.parse_factor()
         while True:
             kind, value, at = self.peek()
-            if len(letters) > _MAX_PARSED_LETTERS:
+            if letters > _MAX_PARSED_LETTERS:
                 raise WordSyntaxError(at, "word expansion too large")
             if kind == "*":
                 self.pos += 1
-                letters += self.parse_factor()
-            elif kind in ("ident", "[", "("):
-                letters += self.parse_factor()
-            elif kind in closers:
-                return letters
-            else:
+            elif kind not in ("ident", "[", "("):
+                if kind in closers:
+                    return syllables, letters
                 raise WordSyntaxError(at, f"unexpected {_quote(value)}")
+            more, n = self.parse_factor()
+            syllables += more
+            letters += n
 
-    def parse_factor(self) -> list[tuple[int, int]]:
+    def parse_factor(self) -> tuple[list[tuple[int, int]], int]:
         kind, value, at = self.peek()
         if kind == "ident":
             self.pos += 1
             idx = self.index.get(value)
             if idx is None:
                 raise UnknownGenerator(value)
-            base = [(idx, 1)]
+            base, letters = [(idx, 1)], 1
         elif kind == "[":
             self.pos += 1
-            u = self.parse_word(closers=(",",))
+            u, m = self.parse_word(closers=(",",))
             self.take(",")
-            v = self.parse_word(closers=("]",))
+            v, n = self.parse_word(closers=("]",))
             self.take("]")
-            if 2 * (len(u) + len(v)) > _MAX_PARSED_LETTERS:
+            if (letters := 2 * (m + n)) > _MAX_PARSED_LETTERS:
                 raise WordSyntaxError(at, "word expansion too large")
             base = u + v + _inv(u) + _inv(v)
         elif kind == "(":
             self.pos += 1
-            base = self.parse_word(closers=(")",))
+            base, letters = self.parse_word(closers=(")",))
             self.take(")")
         else:
             raise WordSyntaxError(at, f"expected a factor, found {_quote(value or 'end of input')}")
         if self.peek()[0] == "^":
             self.pos += 1
             exponent = self.parse_exponent()
-            if len(base) * abs(exponent) > _MAX_PARSED_LETTERS:
+            if (letters := letters * abs(exponent)) > _MAX_PARSED_LETTERS:
                 raise WordSyntaxError(at, "word expansion too large")
             base = _power(base, exponent)
-        return base
+        return base, letters
 
     def parse_exponent(self) -> int:
         kind, value, at = self.peek()
@@ -277,10 +279,12 @@ class _Parser:
         return sign * int(tok[1])
 
 
-def _power(letters: list[tuple[int, int]], n: int) -> list[tuple[int, int]]:
+def _power(syllables: list[tuple[int, int]], n: int) -> list[tuple[int, int]]:
+    if len(syllables) == 1:  # a power of one syllable stays one syllable
+        return [(syllables[0][0], syllables[0][1] * n)] if n else []
     if n < 0:
-        letters, n = _inv(letters), -n
-    return letters * n
+        syllables, n = _inv(syllables), -n
+    return syllables * n
 
 
 def parse_word(text: str, alphabet: Sequence[str], index: Mapping[str, int] | None = None) -> Word:
@@ -289,6 +293,6 @@ def parse_word(text: str, alphabet: Sequence[str], index: Mapping[str, int] | No
     position; a file's reader builds it once for all its words."""
     alphabet = tuple(alphabet)
     parser = _Parser(text, index or {name: i for i, name in enumerate(alphabet)})
-    letters = parser.parse_word(closers=("end",))
+    syllables, _ = parser.parse_word(closers=("end",))
     parser.take("end")
-    return Word(alphabet, _free_reduce(letters))
+    return Word(alphabet, _free_reduce(syllables))

@@ -32,7 +32,7 @@ import sys
 from collections import Counter
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .word import _Value, _quote, exponent_vector
+from .word import _Value, _quote, exponent_sums, exponent_vector
 
 if TYPE_CHECKING:
     from .fpgroup import GroupHom, Presentation
@@ -625,9 +625,7 @@ def relator_rows(p: "Presentation") -> list[dict[int, int]]:
     Z^30+Z/2+Z/4`."""
     rows = []
     for r in {id(r): r for r in p.relators}.values():
-        row: dict[int, int] = {}
-        for i, s in r.letters:
-            row[i] = row.get(i, 0) + s
+        row = exponent_sums(r)
         if any(row.values()):
             rows.append(row)
     return rows

@@ -33,10 +33,13 @@ and lattice membership read off the columns of the Smith transform V
 is the reference for the cokernel comparison in
 `zlinalg.in_row_lattice`.
 
-The words that `word`, `fpgroup` and `fibersum` now lay out letter by
-letter are also made here in their old folded form: every product goes
-through `multiply`, so each intermediate word is reduced and validated,
-and the witness is rebuilt from those folds.  The word, free group and
+The words that `word`, `fpgroup` and `fibersum` now lay out as
+(generator, exponent) syllables in one pass are also made here in their
+old folded, letter-level form: `letters_of` spells a word out letter by
+letter, every product goes through `multiply`, which reduces letters and
+groups runs back into syllables only to build the `Word`, so each
+intermediate word is reduced and validated, and the witness is rebuilt
+from those folds.  The word, free group and
 transpose constructors the tests build their inputs with live here too,
 since no command needs them in `aspherical`.  The witness is also built
 here in two stages, as `fibersum` once did: its fibered presentation
@@ -54,6 +57,7 @@ replaced them.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
@@ -71,7 +75,7 @@ from aspherical.fpgroup import (
     surface_relator,
 )
 from aspherical.lefschetz import MonodromyFactorization
-from aspherical.limits import _MAX_FIBER_GENUS
+from aspherical.limits import _MAX_FIBER_GENUS, _MAX_PARSED_LETTERS
 from aspherical.word import Word, _quote, cyclic_reduce, parse_word
 from aspherical.zlinalg import (
     DimensionMismatch,
@@ -435,6 +439,26 @@ def dense_presentation(n: int) -> str:
         for _ in range(n)
     ]
     return _fibered_file("dense", n // 2, words)
+
+
+def long_power_words(n: int) -> list[str]:
+    """n distinct one-syllable words a1^(262144 - k), k = 0..n-1, at or
+    just under the `_MAX_PARSED_LETTERS` cap."""
+    return [f"a1^{_MAX_PARSED_LETTERS - k}" for k in range(n)]
+
+
+def alternating_power_words(n: int) -> list[str]:
+    """n distinct words (a1 b1)^(131072 - k), k = 0..n-1, at or just under
+    the `_MAX_PARSED_LETTERS` cap: each letter is a syllable of its own."""
+    return [f"(a1 b1)^{_MAX_PARSED_LETTERS // 2 - k}" for k in range(n)]
+
+
+def genus_one_files(label: str, words: list[str]) -> tuple[str, str]:
+    """The words as the `rel` lines of a presentation file on the torus
+    generators and relator, and as the `cycle +` lines of a genus-1
+    fibration file."""
+    cycles = "".join(f"cycle + {w}\n" for w in words)
+    return _fibered_file(label, 1, words), f"fibration {label}\nfiber_genus 1\n" + cycles
 
 
 def _fibered_file(label: str, g: int, words: list[str]) -> str:
@@ -801,9 +825,20 @@ def _reduce(letters) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def letters_of(w: Word) -> tuple[tuple[int, int], ...]:
+    """w's letters, (generator index, sign) pairs: each syllable (i, e)
+    spelled out as |e| letters."""
+    return tuple(letter for i, e in w.syllables for letter in [(i, 1 if e > 0 else -1)] * abs(e))
+
+
+def _syllables(letters) -> tuple[tuple[int, int], ...]:
+    """Freely reduced letters grouped by runs into syllables."""
+    return tuple((i, s * len(list(run))) for (i, s), run in itertools.groupby(letters))
+
+
 def word_from_letters(alphabet, letters) -> Word:
     """The freely reduced word on `letters`."""
-    return Word(tuple(alphabet), _reduce(letters))
+    return Word(tuple(alphabet), _syllables(_reduce(letters)))
 
 
 def empty_word(alphabet) -> Word:
@@ -818,11 +853,11 @@ def multiply(u: Word, v: Word) -> Word:
     """Freely reduced concatenation of two words over one alphabet."""
     if u.alphabet != v.alphabet:
         raise ValueError("cannot multiply words over different alphabets")
-    return Word(u.alphabet, _reduce(u.letters + v.letters))
+    return word_from_letters(u.alphabet, letters_of(u) + letters_of(v))
 
 
 def invert(w: Word) -> Word:
-    return Word(w.alphabet, tuple((i, -s) for i, s in reversed(w.letters)))
+    return Word(w.alphabet, _syllables((i, -s) for i, s in reversed(letters_of(w))))
 
 
 def free_group(r: int) -> Presentation:
@@ -853,17 +888,17 @@ def reference_apply_hom(f: GroupHom, w: Word) -> Word:
     if w.alphabet != f.source.generators:
         raise ValueError("word over a different alphabet than the source")
     out = empty_word(f.target.generators)
-    for i, s in w.letters:
+    for i, s in letters_of(w):
         out = multiply(out, f.images[i] if s > 0 else invert(f.images[i]))
     return out
 
 
 def reference_cyclic_reduce(w: Word) -> Word:
     """Strip one cancelling end pair per step, copying the letters each time."""
-    letters = list(w.letters)
+    letters = list(letters_of(w))
     while len(letters) >= 2 and letters[0] == (letters[-1][0], -letters[-1][1]):
         letters = letters[1:-1]
-    return Word(w.alphabet, tuple(letters))
+    return Word(w.alphabet, _syllables(letters))
 
 
 def reference_in_row_lattice(vector, rows_matrix: IntMatrix) -> bool:
@@ -898,7 +933,7 @@ def reference_witness(gamma: FgAbelian) -> Presentation:
     def gen(i: int, sign: int = 1) -> Word:
         return generator_word(gens, i, sign)
 
-    relators = [Word(gens, reference_surface_relator(fiber).letters)]
+    relators = [word_from_letters(gens, letters_of(reference_surface_relator(fiber)))]
     relators.append(multiply(empty_word(gens), reference_commutator(gen(2 * g), gen(2 * g + 1))))
     for i in range(g):
         for u in (2 * g, 2 * g + 1):
@@ -912,7 +947,7 @@ def reference_witness(gamma: FgAbelian) -> Presentation:
         for j in range(i + 1, r):
             relators.append(reference_commutator(gen(2 * i), gen(2 * j)))
     for t, d in enumerate(gamma.torsion):
-        relators.append(Word(gens, ((2 * (m_prime + t), 1),) * d))
+        relators.append(word_from_letters(gens, [(2 * (m_prime + t), 1)] * d))
     return Presentation(gens, tuple(relators), label=f"witness {gamma.render()}")
 
 
@@ -945,7 +980,7 @@ def reference_witness_presentation(gamma: FgAbelian) -> Presentation:
         for j in range(i + 1, r):
             relators.append(Word(gens, ((2 * i, 1), (2 * j, 1), (2 * i, -1), (2 * j, -1))))
     for t, dt in enumerate(a.torsion):
-        relators.append(Word(gens, ((2 * (m_prime + t), 1),) * dt))
+        relators.append(word_from_letters(gens, [(2 * (m_prime + t), 1)] * dt))
     fibered = Presentation(gens, (surface_relator(gens),) + tuple(relators))
     total = fiber_sum_with_trivial_bundle(fibered, 1)
     return Presentation(total.generators, total.relators, label=label)

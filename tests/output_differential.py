@@ -7,7 +7,11 @@ benchmark's chain relations lack (the seeded two-term files of
 and on the banded files of `tests/oracles.py` at genus 10 and 40; and
 `fibersum -e 1` on the banded presentation files at genus 10 and 40 and
 on dense presentation files of 20 and 40 generators, whose lattices the
-sparse stage of `zlinalg.cokernel` takes to the end; and `classify`,
+sparse stage of `zlinalg.cokernel` takes to the end; both commands on
+genus-1 files of 10 distinct long powers a1^(262144 - k) and of 8
+distinct alternating powers (a1 b1)^(131072 - k), words at the
+`_MAX_PARSED_LETTERS` cap, of one syllable and of 2 (131072 - k)
+syllables each, under the file's syllable limit; and `classify`,
 `witness` and `homology` (through degrees 0, 1 and 5, so that both
 values of `contains_factor_homology_sum` print, where the benchmark's
 degrees of 2 and more print only `true`) on a fixed list of group specs:
@@ -54,6 +58,7 @@ FORMATS = ("text", "json")
 FIBRATION_GENERA = (3, 8, 16)
 BANDED_GENERA = (10, 40)
 DENSE_GENERATORS = (20, 40)
+LONG_POWER_LINES, ALTERNATING_LINES = 10, 8
 # (run label, group spec): one group per verdict, then repeated large
 # orders, then long divisor chains: distinct members, a run of equal ones,
 # and two whose homology through degree 5 the summand limit refuses.
@@ -70,9 +75,18 @@ HOMOLOGY_DEGREES = ("0", "1", "5")
 def write_files(directory: Path) -> None:
     """Into `directory`/fibration: the two-term fibration files, 3g cycles
     at genus g and each seed, the banded ones and the hand-written one.
-    Into `directory`/fibersum: the banded and dense presentation files."""
+    Into `directory`/fibersum: the banded and dense presentation files.
+    Into both: the long-power and alternating-power files."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-    from oracles import banded_fibration, banded_presentation, dense_presentation, two_term_fibration
+    from oracles import (
+        alternating_power_words,
+        banded_fibration,
+        banded_presentation,
+        dense_presentation,
+        genus_one_files,
+        long_power_words,
+        two_term_fibration,
+    )
 
     fibrations, presentations = directory / "fibration", directory / "fibersum"
     fibrations.mkdir(parents=True)
@@ -87,6 +101,13 @@ def write_files(directory: Path) -> None:
     for n in DENSE_GENERATORS:
         (presentations / f"dense_n{n}.txt").write_text(dense_presentation(n))
     shutil.copy(ROOT / "tests" / "data" / "mixed_twists.txt", fibrations)
+    for label, words in (
+        ("long_power", long_power_words(LONG_POWER_LINES)),
+        ("alternating", alternating_power_words(ALTERNATING_LINES)),
+    ):
+        presentation, fibration = genus_one_files(label, words)
+        (presentations / f"{label}.txt").write_text(presentation)
+        (fibrations / f"{label}.txt").write_text(fibration)
 
 
 def run_tree(tree: Path, workdir: Path, files: Path) -> list[list]:

@@ -7,12 +7,16 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from oracles import (
+    alternating_power_words,
     chain_relation,
+    genus_one_files,
+    long_power_words,
     reference_direct_sum,
     reference_from_cyclic_orders,
     reference_parser,
@@ -24,6 +28,7 @@ from aspherical.fpgroup import Presentation
 from aspherical.limits import (
     _MAX_BASE_GENUS,
     _MAX_FIBER_GENUS,
+    _MAX_FILE_SYLLABLES,
     _MAX_FREE_RANK,
     _MAX_GENUS_PRODUCT,
     _MAX_HOMOLOGY_DEGREE,
@@ -442,6 +447,55 @@ def test_constructions_at_their_limits_are_accepted(capsys, tmp_path):
     code, out, err = run(capsys, "fibration", str(fibration))
     assert (code, err) == (0, "")
     assert f"fiber_genus: {_MAX_FIBER_GENUS}\n" in out
+
+
+def test_long_power_files_take_bounded_time_and_memory(capsys, tmp_path):
+    # a1^262144 is one syllable: stored letter by letter, the 10-line
+    # file took 1.3-1.5 s and 200 MB in either form.
+    path = tmp_path / "big.txt"
+    presentation, fibration = genus_one_files("big", long_power_words(10))
+    for text, argv in ((presentation, ("fibersum", "-e", "1")), (fibration, ("fibration",))):
+        path.write_text(text)
+        tracemalloc.start()
+        try:
+            start = time.process_time()
+            code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+            elapsed = time.process_time() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, ""), argv
+        assert f"a1^{_MAX_PARSED_LETTERS - 9}" in out, argv
+        assert elapsed < 0.1 and peak < 10 * 2**20, (argv, elapsed, peak)
+
+
+def test_word_files_are_capped_in_syllables_at_the_line_that_crosses(capsys, tmp_path):
+    # 16 distinct alternating powers at the letter cap take 4,194,064
+    # syllables; a last word of 2 m syllables fills the limit exactly (the
+    # presentation file's surface relator takes 4 of them), one more
+    # syllable crosses it, and the line after, which would not parse, is
+    # never read.  A repeated line counts once.
+    words = alternating_power_words(16)
+    used = sum(2 * int(word.rsplit("^", 1)[1]) for word in words)
+    path = tmp_path / "words.txt"
+    for item, surface, command in (("cycle", 0, ("fibration",)), ("rel", 4, ("fibersum", "-e", "1"))):
+        m = (_MAX_FILE_SYLLABLES - used - surface) // 2
+        assert used + surface + 2 * m == _MAX_FILE_SYLLABLES
+        at = genus_one_files("cap", [*words, words[0], f"(a1 b1)^{m}"])
+        if item == "cycle":  # one run at the limit: about 1 s
+            path.write_text(at[1])
+            code, out, err = run(capsys, "fibration", str(path))
+            assert (code, err) == (0, "")
+            assert "abelianization: Z\n" in out
+        over = genus_one_files("cap", [*words, words[0], f"(a1 b1)^{m} a1", "zz"])
+        path.write_text(over[0] if item == "rel" else over[1])
+        line = 2 + (surface > 0) + len(words) + 2  # headers, surface, words, repeat, crossing
+        assert run(capsys, command[0], str(path), *command[1:]) == (
+            2,
+            "",
+            f"error: line {line}: the distinct {item} lines take {_MAX_FILE_SYLLABLES + 1} "
+            f"syllables, over the limit of {_MAX_FILE_SYLLABLES}\n",
+        )
 
 
 def _no_twist_loop(*args):

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from oracles import determinant, is_surjective_onto, reference_direct_sum, word_from_letters
+from oracles import (
+    determinant,
+    is_surjective_onto,
+    letters_of,
+    reference_direct_sum,
+    word_from_letters,
+)
 from aspherical.asphericity import Reason
 from aspherical.fibersum import (
     NotAspherical,
@@ -18,6 +24,7 @@ from aspherical.fpgroup import (
     surface_group,
     surface_relator,
 )
+from aspherical.limits import _MAX_PARSED_LETTERS
 from aspherical.word import cyclic_reduce, parse_word, render_word
 from aspherical.zlinalg import (
     FgAbelian,
@@ -56,7 +63,7 @@ def test_surface_fibered_validation():
                 fiber_sum_with_trivial_bundle(x, e)
             assert str(exc.value) == message
     x = fibered(2, "a1")
-    assert fiber_sum_with_trivial_bundle(x, 1).relators[-1].letters == ((0, 1),)
+    assert fiber_sum_with_trivial_bundle(x, 1).relators[-1].syllables == ((0, 1),)
 
 
 def test_fiber_sum_layout():
@@ -179,7 +186,16 @@ def test_witness_is_a_fiber_sum_shape():
     assert names[-2:] == ["x1", "y1"]
     assert len(names) % 2 == 0
     fiber_relator = surface_relator(p.generators[:-2])
-    assert p.relators[0].letters == fiber_relator.letters
+    assert p.relators[0].syllables == fiber_relator.syllables
+
+
+def test_witness_torsion_relator_is_one_syllable():
+    # Z^4 + Z/d puts t = a3 to the power d last; spelled letter by letter,
+    # Z/262144 made 262,144 of them.
+    for d in (2, 7, _MAX_PARSED_LETTERS):
+        p = witness_presentation(FgAbelian(4, (d,)))
+        assert p.relators[-1].syllables == ((4, d),)
+        assert (p.generators[4], len(p.relators[-1])) == ("a3", d)
 
 
 def test_witness_relators_lie_in_the_chain_kernel():
@@ -209,11 +225,11 @@ def test_witness_relators_lie_in_the_chain_kernel():
         target_relators = set(hom.target.relators)
         names = set(witness.generators[: 2 * g])
         for relator in witness.relators:
-            if any(witness.generators[i] not in names for i, _ in relator.letters):
+            if any(witness.generators[i] not in names for i, _ in letters_of(relator)):
                 continue  # mixed or base relator from the fiber sum step
             fiber_word = parse_word(render_word(relator), p.generators)
             image = apply_hom(hom, fiber_word)
-            assert not image.letters or image in target_relators, render_word(relator)
+            assert not image.syllables or image in target_relators, render_word(relator)
 
 
 def test_witness_rejections():

@@ -328,16 +328,16 @@ def test_parse_factorization_errors(text):
 
 
 class _CountingCycle:
-    """A cycle word that records each read of its letters, from which
+    """A cycle word that records each read of its syllables, from which
     `monodromy_product` takes the cycle's class."""
 
     def __init__(self, word, reads):
         self.alphabet, self._word, self._reads = word.alphabet, word, reads
 
     @property
-    def letters(self):
+    def syllables(self):
         self._reads.append(self._word)
-        return self._word.letters
+        return self._word.syllables
 
 
 def _counting(m, reads):
@@ -371,7 +371,7 @@ def test_fibration_builds_no_throwaway_presentation_and_pairs_each_cycle_once(
     assert len(reads) == len({id(w) for w in reads}) == distinct
 
     # The command: the surface presentation and its quotient, one
-    # monodromy fold, each distinct cycle's letters read once in it.
+    # monodromy fold, each distinct cycle's syllables read once in it.
     folds = []
     product = lefschetz.monodromy_product
 

@@ -1,7 +1,7 @@
 """The one-pass word functions against the folds they replaced.
 
 The commutator brackets of `parse_word`, `surface_relator`, `apply_hom`
-and `cyclic_reduce` lay out their letters and reduce once;
+and `cyclic_reduce` lay out their syllables and reduce once;
 `in_row_lattice` compares two cokernels.
 The references in `tests/oracles.py` build the same words through
 `multiply` and answer membership from the Smith transform V.
@@ -13,6 +13,7 @@ import time
 from oracles import (
     free_group,
     invert,
+    letters_of,
     multiply,
     reference_apply_hom,
     reference_commutator,
@@ -51,9 +52,9 @@ def _partner(rng, alphabet, u):
         [
             u,
             invert(u),
-            Word(u.alphabet, u.letters[:k]),
-            Word(u.alphabet, u.letters[k:]),
-            invert(Word(u.alphabet, u.letters[k:])),
+            word_from_letters(u.alphabet, letters_of(u)[:k]),
+            word_from_letters(u.alphabet, letters_of(u)[k:]),
+            invert(word_from_letters(u.alphabet, letters_of(u)[k:])),
             multiply(multiply(x, u), invert(x)),
             _random_word(rng, alphabet, 6),
         ]
@@ -92,7 +93,7 @@ def test_surface_relator_matches_fold():
         for f in range(g + 1):
             # The base relator of a fiber sum: the pairs from index 2f on.
             base = reference_surface_relator(gens[2 * f :])
-            expected = Word(gens, tuple((i + 2 * f, s) for i, s in base.letters))
+            expected = word_from_letters(gens, [(i + 2 * f, s) for i, s in letters_of(base)])
             assert surface_relator(gens, 2 * f) == expected
 
 

@@ -119,6 +119,9 @@ def _runs(tmp: Path) -> list[tuple[list[str], int]]:
     )
     odd = tmp / "odd.txt"
     odd.write_text("group odd\ngens a1 b1 c1\nrel a1 b1 a1^-1 b1^-1\n")
+    # Commutator brackets, whose inverted halves no other run spells.
+    brackets = tmp / "brackets.txt"
+    brackets.write_text("group c\ngens a1 b1\nrel [a1,b1]\nrel [a1^2 b1,b1]^-1\n")
     return [
         (["classify", "Z^4+Z/2"], 0),
         (["classify", "Z^4"], 0),
@@ -140,6 +143,7 @@ def _runs(tmp: Path) -> list[tuple[list[str], int]]:
         (["fibersum", str(fibered), "-e", "2"], 0),
         (["fibersum", str(fibered), "--base-genus=2"], 0),  # read by argparse alone
         (["fibersum", str(odd)], 3),
+        (["fibersum", str(brackets)], 0),
     ]
 
 

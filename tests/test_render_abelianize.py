@@ -1,7 +1,7 @@
 """Rendering and abelianizing a presentation in one lean pass per relator.
 
 `render_presentation` makes the generator-name tables once and shares
-the run-collapsing loop with `render_word`; `abelianization` drops zero
+the syllable-rendering loop with `render_word`; `abelianization` drops zero
 exponent rows before the cokernel's sparse stage.  Both must give what
 the per-word paths give: the `group`/`gens` lines plus
 `rel {render_word(r)}` for each relator, and the dense cokernel of the
@@ -11,7 +11,7 @@ relator matrix.
 import itertools
 import random
 
-from oracles import chain_relation, reference_cokernel, word_from_letters
+from oracles import chain_relation, letters_of, reference_cokernel, word_from_letters
 from aspherical.fibersum import (
     fiber_sum_with_trivial_bundle,
     witness_presentation,
@@ -35,11 +35,11 @@ def _per_word(p: Presentation) -> str:
 
 
 def _grouped(w: Word) -> str:
-    """Runs found by itertools.groupby, each rendered on its own."""
-    if not w.letters:
+    """Runs of letters found by itertools.groupby, each rendered on its own."""
+    if not w.syllables:
         return "1"
     parts = []
-    for (i, s), run in itertools.groupby(w.letters):
+    for (i, s), run in itertools.groupby(letters_of(w)):
         exponent = s * len(list(run))
         name = w.alphabet[i]
         parts.append(name if exponent == 1 else f"{name}^{exponent}")
@@ -74,7 +74,7 @@ def test_render_presentation_equals_rendering_each_word():
             assert render_word(r) == _grouped(r)
             assert parse_word(render_word(r), p.generators) == r
         seen.add((bool(p.generators), p.label is None))
-        seen.update(("identity",) for r in p.relators if not r.letters)
+        seen.update(("identity",) for r in p.relators if not r.syllables)
         seen.update(("shared",) for a, b in itertools.combinations(p.relators, 2) if a is b)
     assert seen >= {(True, True), (True, False), (False, True), (False, False)}
     assert ("identity",) in seen and ("shared",) in seen

@@ -17,7 +17,7 @@ def _samples():
     torus = surface_group(1)
     a1 = parse_word("a1", torus.generators)
     return [
-        Word(torus.generators, ((0, 1), (1, -1))),
+        Word(torus.generators, ((0, 2), (1, -1))),
         IntMatrix(1, 2, (2, 4)),
         smith_normal_form(IntMatrix(1, 2, (2, 4))),
         FgAbelian(0, (6,)),
@@ -45,12 +45,12 @@ def _others():
 
 
 _TORUS_GENS = "('a1', 'b1')"
-_TORUS_RELATOR = f"Word(alphabet={_TORUS_GENS}, letters=((0, 1), (1, 1), (0, -1), (1, -1)))"
+_TORUS_RELATOR = f"Word(alphabet={_TORUS_GENS}, syllables=((0, 1), (1, 1), (0, -1), (1, -1)))"
 _TORUS = f"Presentation(generators={_TORUS_GENS}, relators=({_TORUS_RELATOR},), label='pi_1')"
-_A1 = f"Word(alphabet={_TORUS_GENS}, letters=((0, 1),))"
-_B1 = f"Word(alphabet={_TORUS_GENS}, letters=((1, 1),))"
+_A1 = f"Word(alphabet={_TORUS_GENS}, syllables=((0, 1),))"
+_B1 = f"Word(alphabet={_TORUS_GENS}, syllables=((1, 1),))"
 _REPRS = [
-    f"Word(alphabet={_TORUS_GENS}, letters=((0, 1), (1, -1)))",
+    f"Word(alphabet={_TORUS_GENS}, syllables=((0, 2), (1, -1)))",
     "IntMatrix(rows=1, cols=2, entries=(2, 4))",
     "SmithDecomposition(d=IntMatrix(rows=1, cols=2, entries=(2, 0)), "
     "u=IntMatrix(rows=1, cols=1, entries=(1,)), v=IntMatrix(rows=2, cols=2, entries=(1, -2, 0, 1)))",

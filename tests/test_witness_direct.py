@@ -37,7 +37,7 @@ def _assert_same_presentation(p: Presentation, q: Presentation) -> None:
     assert len(p.relators) == len(q.relators)
     for mine, theirs in zip(p.relators, q.relators):
         assert mine.alphabet == theirs.alphabet
-        assert mine.letters == theirs.letters
+        assert mine.syllables == theirs.syllables
     assert p == q
 
 

@@ -6,6 +6,7 @@ from oracles import (
     empty_word,
     generator_word,
     invert,
+    letters_of,
     multiply,
     reference_commutator,
     word_from_letters,
@@ -29,7 +30,9 @@ def w(text):
 
 
 def test_parse_literal():
-    assert w("a1 b1 a1^-1 b1^-1").letters == ((0, 1), (1, 1), (0, -1), (1, -1))
+    assert w("a1 b1 a1^-1 b1^-1").syllables == ((0, 1), (1, 1), (0, -1), (1, -1))
+    assert w("a1 a1 b1^-2 a1").syllables == ((0, 2), (1, -2), (0, 1))
+    assert letters_of(w("a1 a1 b1^-2 a1")) == ((0, 1), (0, 1), (1, -1), (1, -1), (0, 1))
 
 
 def test_parse_commutator_sugar():
@@ -53,9 +56,13 @@ def test_parse_star_separator_and_parens():
 
 
 def test_parse_powers():
-    assert w("a1^3").letters == ((0, 1),) * 3
+    assert letters_of(w("a1^3")) == ((0, 1),) * 3
+    assert w("a1^3").syllables == ((0, 3),)
     assert w("a1^0") == empty_word(AB)
-    assert w("a1^-2").letters == ((0, -1),) * 2
+    assert letters_of(w("a1^-2")) == ((0, -1),) * 2
+    assert w("a1^-2").syllables == ((0, -2),)
+    assert w("(a1^2)^-3").syllables == w("(a1 a1)^-3").syllables == ((0, -6),)
+    assert (len(w("a1^-2")), len(w("(a1 b1^2)^-3")), len(w("1"))) == (2, 9, 0)
 
 
 def test_parse_nested_commutator():
@@ -85,6 +92,12 @@ def test_cyclic_reduce():
     assert cyclic_reduce(w("a1 b1 a1^-1")) == w("b1")
     assert cyclic_reduce(w("[a1,b1]")) == w("[a1,b1]")
     assert cyclic_reduce(w("a2^-1 [a1,b1] a2")) == w("[a1,b1]")
+    # a partly cancelled end keeps the difference where it was
+    assert cyclic_reduce(w("a1^3 b1 a1^-1")).syllables == ((0, 2), (1, 1))
+    assert cyclic_reduce(w("a1 b1 a1^-3")).syllables == ((1, 1), (0, -2))
+    assert cyclic_reduce(w("a1^-2 b1^4 a2 b1^-1 a1^5")).syllables == ((1, 4), (2, 1), (1, -1), (0, 3))
+    for same in ("a1^2 b1 a1^3", "a1^-7", "a1^2 b1 a1^-2 b1"):
+        assert cyclic_reduce(w(same)) is w(same) or cyclic_reduce(w(same)) == w(same)
     assert cyclic_reduce(empty_word(AB)) == empty_word(AB)
 
 
@@ -104,21 +117,24 @@ def test_word_constructor_rejects_bad_letters():
     with pytest.raises(ValueError):
         Word(AB, ((7, 1),))
     with pytest.raises(ValueError):
-        Word(AB, ((0, 2),))
+        Word(AB, ((0, 0),))
+    with pytest.raises(ValueError):
+        Word(AB, ((0, 2), (0, 1)))  # one syllable, spelled as two
 
 
 def test_word_constructor_names_the_first_bad_letter():
     n = len(AB)
     cases = {
-        ((0, 1), (n, 1), (1, 0)): f"letter 1 references generator {n} of {n}",
-        ((0, 1), (-1, 1)): f"letter 1 references generator -1 of {n}",
-        ((1, -1), (0, 3), (0, -3)): "letter 1 has sign 3",
-        ((0, 1), (1, 1), (1, -1), (n, 1)): "word is not freely reduced",
-        ((0, 1), (1, 1), (0, 0)): "letter 2 has sign 0",
+        ((0, 1), (n, 1), (1, 0)): f"syllable 1 references generator {n} of {n}",
+        ((0, 1), (-1, 1)): f"syllable 1 references generator -1 of {n}",
+        ((1, -1), (0, 0), (0, -3)): "syllable 1 has exponent 0",
+        ((0, 1), (1, 1), (1, -1), (n, 1)): "syllable 2 repeats generator 1",
+        ((0, 3), (1, 2), (1, 5)): "syllable 2 repeats generator 1",
+        ((0, 1), (1, 1), (0, 0)): "syllable 2 has exponent 0",
     }
-    for letters, message in cases.items():
+    for syllables, message in cases.items():
         with pytest.raises(ValueError) as exc:
-            Word(AB, letters)
+            Word(AB, syllables)
         assert str(exc.value) == message
 
 
@@ -217,7 +233,7 @@ def test_free_reduction_confluent():
     for _ in range(100):
         raw = _random_letters(rng, rng.randrange(64))
         text = " ".join(AB[i] + ("" if s > 0 else "^-1") for i, s in raw) or "1"
-        expected = parse_word(text, AB).letters
+        expected = letters_of(parse_word(text, AB))
         for _ in range(4):
             assert _reduce_in_random_order(raw, rng) == expected
 
